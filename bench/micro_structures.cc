@@ -15,10 +15,8 @@
 #include "common/addr_map.hh"
 #include "common/arena.hh"
 #include "common/rng.hh"
-#include "common/simd.hh"
 #include "core/history_buffer.hh"
 #include "core/index_table.hh"
-#include "core/sharded_index_table.hh"
 #include "prefetch/prefetch_buffer.hh"
 #include "sim/cache.hh"
 #include "sim/event_queue.hh"
@@ -62,94 +60,6 @@ BM_IndexTableLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IndexTableLookup);
-
-/**
- * Scalar vs batched probe throughput on a table big enough that every
- * random probe misses the host LLC: Arg(0)=0 probes one at a time
- * through lookup(), Arg(0)=1 routes the same addresses through
- * lookupBatch(), whose one-batch-ahead __builtin_prefetch overlaps
- * each probe's bucket fetch with the previous probes' work. The two
- * variants are bit-identical in results and stats (asserted in
- * tests/core/batched_probe_test.cc); this bench measures the only
- * difference that is allowed to exist — host-side throughput.
- */
-void
-BM_BatchedIndexProbe(benchmark::State &state)
-{
-    const bool batched = state.range(0) != 0;
-    IndexTable table(64ULL << 20);
-    Rng rng(11);
-    for (std::uint64_t i = 0; i < 4'000'000; ++i) {
-        table.update(blockAddress(rng.below(1ULL << 24)),
-                     HistoryPointer{0, i});
-    }
-    constexpr std::size_t kBatch = 256;
-    std::vector<Addr> blocks(kBatch);
-    std::vector<std::optional<HistoryPointer>> results(kBatch);
-    Rng probe(12);
-    for (auto _ : state) {
-        for (auto &block : blocks)
-            block = blockAddress(probe.below(1ULL << 24));
-        if (batched) {
-            table.lookupBatch(blocks, results);
-        } else {
-            for (std::size_t i = 0; i < kBatch; ++i)
-                results[i] = table.lookup(blocks[i]);
-        }
-        benchmark::DoNotOptimize(results.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_BatchedIndexProbe)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"});
-
-/**
- * Concurrent mixed lookup/update traffic against the sharded table:
- * Arg(0) is the shard count, ->Threads() the hammering threads. With
- * one shard every thread serializes on a single mutex — the
- * single-map bottleneck the driver's index_contention experiment
- * quantifies end to end; more shards stripe the same traffic across
- * independent locks.
- */
-void
-BM_ShardedIndexMixed(benchmark::State &state)
-{
-    static ShardedIndexTable *table = nullptr;
-    if (state.thread_index() == 0) {
-        table = new ShardedIndexTable(
-            16ULL << 20, 12,
-            static_cast<std::uint32_t>(state.range(0)));
-        Rng warm(7);
-        for (std::uint64_t i = 0; i < 1'000'000; ++i) {
-            table->update(blockAddress(warm.below(1ULL << 24)),
-                          HistoryPointer{0, i});
-        }
-    }
-    Rng rng(100 + static_cast<std::uint64_t>(state.thread_index()));
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        const Addr block = blockAddress(rng.below(1ULL << 24));
-        if (seq % 4 == 0)
-            table->update(block, HistoryPointer{0, seq});
-        else
-            benchmark::DoNotOptimize(table->lookup(block));
-        ++seq;
-    }
-    state.SetItemsProcessed(state.iterations());
-    if (state.thread_index() == 0) {
-        delete table;
-        table = nullptr;
-    }
-}
-BENCHMARK(BM_ShardedIndexMixed)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->ThreadRange(1, 4)
-    ->UseRealTime();
 
 void
 BM_HistoryBufferAppend(benchmark::State &state)
@@ -297,57 +207,8 @@ BM_EventQueueSteadyState(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSteadyState)->Arg(64)->Arg(1024)->Arg(16384);
 
-/**
- * The scan kernel itself at bucket-shaped sizes: Arg(0) is the element
- * count (12 = one index bucket, 32 = MSHR-file scale, 256 = history
- * window segment), Arg(1)=0 pins the scalar reference, Arg(1)=1 runs
- * the dispatched kernel (whatever activeIsa() reports for this host /
- * STMS_SIMD config). Probes alternate hit positions and misses so
- * neither branch prediction nor an early first-lane hit flatters the
- * vector path.
- */
-void
-BM_FindFirstEqual(benchmark::State &state)
-{
-    const auto count = static_cast<std::size_t>(state.range(0));
-    const bool dispatched = state.range(1) != 0;
-    std::vector<std::uint64_t> keys(count + simd::kScanPadU64,
-                                    ~0ULL);  // padding never matches
-    for (std::size_t i = 0; i < count; ++i)
-        keys[i] = 0x1000 + i;
-    // Probe mix: every position once, plus as many misses.
-    std::vector<std::uint64_t> probes;
-    for (std::size_t i = 0; i < count; ++i) {
-        probes.push_back(0x1000 + i);
-        probes.push_back(0xdead0000 + i);
-    }
-    if (probes.empty())
-        probes.push_back(0xdead0000);
-    std::size_t next = 0;
-    for (auto _ : state) {
-        const std::uint64_t probe = probes[next];
-        next = next + 1 == probes.size() ? 0 : next + 1;
-        const std::size_t hit =
-            dispatched
-                ? simd::findFirstEqual(keys.data(), count, probe)
-                : simd::findFirstEqualScalar(keys.data(), count,
-                                             probe);
-        benchmark::DoNotOptimize(hit);
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(dispatched ? simd::activeIsa() : "scalar-ref");
-}
-BENCHMARK(BM_FindFirstEqual)
-    ->Args({12, 0})
-    ->Args({12, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->ArgNames({"count", "simd"});
-
-/** History-window scan (stream re-lookup shape): one SIMD sweep over
- *  a wrapped bounded log vs the entry-at-a-time walk it replaced. */
+/** History-window scan (stream re-lookup shape): one linear sweep
+ *  over a wrapped bounded log. */
 void
 BM_HistoryScanWindow(benchmark::State &state)
 {

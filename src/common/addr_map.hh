@@ -7,9 +7,9 @@
  * probed on every post-L1 demand access and every prefetch issue, and
  * mutated (insert + extract) once per off-chip transfer. A hash map
  * pays a heap node per mutation and a pointer chase per probe at that
- * size; this structure keeps the keys in one padded array scanned
- * with the simd.hh first-match kernel and the values in a parallel
- * vector, so probes are a vector compare sweep and removal is a
+ * size; this structure keeps the keys in one array scanned with
+ * findFirstEqual() (common/scan.hh) and the values in a parallel
+ * vector, so a probe is one linear sweep and removal is a
  * swap-with-last. Keys are unique; no operation depends on iteration
  * order, which is what makes the swap-remove safe for the repo's
  * bit-identity gates.
@@ -24,7 +24,7 @@
 
 #include "common/arena.hh"
 #include "common/log.hh"
-#include "common/simd.hh"
+#include "common/scan.hh"
 #include "common/types.hh"
 
 namespace stms
@@ -35,7 +35,7 @@ template <typename V>
 class FlatAddrMap
 {
   public:
-    static constexpr std::size_t kNpos = simd::kNpos;
+    static constexpr std::size_t kNpos = stms::kNpos;
 
     std::size_t size() const { return values_.size(); }
     bool empty() const { return values_.empty(); }
@@ -44,7 +44,7 @@ class FlatAddrMap
     std::size_t
     indexOf(Addr key) const
     {
-        return simd::findFirstEqual(keys_.data(), values_.size(), key);
+        return findFirstEqual(keys_.data(), values_.size(), key);
     }
 
     bool contains(Addr key) const { return indexOf(key) != kNpos; }
@@ -91,7 +91,7 @@ class FlatAddrMap
     grow()
     {
         const std::size_t grown = slots_ == 0 ? 16 : slots_ * 2;
-        ArenaBuffer<Addr> keys(grown + simd::kScanPadU64);
+        ArenaBuffer<Addr> keys(grown);
         if (!values_.empty()) {
             std::memcpy(keys.data(), keys_.data(),
                         values_.size() * sizeof(Addr));
@@ -101,7 +101,7 @@ class FlatAddrMap
         values_.reserve(grown);
     }
 
-    /** Keys packed [0, size()); simd.hh scan padding at the tail. */
+    /** Keys packed [0, size()). */
     ArenaBuffer<Addr> keys_;
     std::size_t slots_ = 0;
     std::vector<V> values_;

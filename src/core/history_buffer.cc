@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/log.hh"
-#include "common/simd.hh"
+#include "common/scan.hh"
 
 namespace stms
 {
@@ -15,7 +15,7 @@ HistoryBuffer::HistoryBuffer(std::uint64_t capacity_entries,
 {
     stms_assert(entries_per_block > 0, "entriesPerBlock must be nonzero");
     if (capacity_ > 0) {
-        blocks_.reset(capacity_ + simd::kScanPadU64);
+        blocks_.reset(capacity_);
         marks_.reset(capacity_);
         slots_ = capacity_;
     }
@@ -25,7 +25,7 @@ void
 HistoryBuffer::growUnbounded()
 {
     const std::uint64_t grown = slots_ == 0 ? 4096 : slots_ * 2;
-    ArenaBuffer<Addr> blocks(grown + simd::kScanPadU64);
+    ArenaBuffer<Addr> blocks(grown);
     ArenaBuffer<std::uint8_t> marks(grown);
     if (head_ > 0) {
         std::memcpy(blocks.data(), blocks_.data(),
@@ -114,8 +114,8 @@ HistoryBuffer::scanWindow(SeqNum first, Addr block) const
                         : std::min<std::uint64_t>(head_ - seq,
                                                   capacity_ - slot);
         const std::size_t hit =
-            simd::findFirstEqual(blocks_.data() + slot, run, block);
-        if (hit != simd::kNpos)
+            findFirstEqual(blocks_.data() + slot, run, block);
+        if (hit != kNpos)
             return seq + hit;
         seq += run;
     }

@@ -18,14 +18,13 @@
  * which is exactly the staleness rule index-table pointers are checked
  * against.
  *
- * Storage is structure-of-arrays — block addresses in one padded
- * array, end marks in another — so the window operations are flat
- * kernels: readWindow() hands a stream engine a whole packed block of
+ * Storage is structure-of-arrays — block addresses in one array, end
+ * marks in another — so the window operations are flat loops:
+ * readWindow() hands a stream engine a whole packed block of
  * successors with two copies instead of an entry-at-a-time walk, and
- * scanWindow() runs the simd.hh first-match scan over the retained
- * window. Both are bit-identical to the per-entry loops they replace
- * (tests/core/history_buffer_test.cc pins this against the scalar
- * reference).
+ * scanWindow() runs findFirstEqual() (common/scan.hh) over the
+ * retained window. Both are bit-identical to the per-entry walks they
+ * replace (tests/core/history_buffer_test.cc pins this).
  */
 
 #ifndef STMS_CORE_HISTORY_BUFFER_HH
@@ -88,8 +87,7 @@ class HistoryBuffer
     /**
      * First sequence number in [first, head()) whose logged address
      * equals @p block, or kInvalidSeq. @p first must satisfy valid()
-     * or equal head(). SIMD first-match over the retained window,
-     * bit-identical to the scalar walk.
+     * or equal head(). First match over the retained window.
      */
     SeqNum scanWindow(SeqNum first, Addr block) const;
 
@@ -126,7 +124,7 @@ class HistoryBuffer
     std::uint64_t capacity_;
     std::uint32_t entriesPerBlock_;
     /**
-     * SoA entry storage: blocks_ carries simd.hh scan padding;
+     * SoA entry storage: blocks_ is the logged address per slot;
      * marks_ is the end-mark byte per slot. Bounded mode sizes both
      * at capacity_ once; unbounded mode doubles them on demand.
      * Slots are written by append() before any read can see them
@@ -136,7 +134,7 @@ class HistoryBuffer
      */
     ArenaBuffer<Addr> blocks_;
     ArenaBuffer<std::uint8_t> marks_;
-    /** Allocated entry slots (excludes scan padding). */
+    /** Allocated entry slots. */
     std::uint64_t slots_ = 0;
     SeqNum head_ = 0;
 };

@@ -3,11 +3,8 @@
  * In-bucket storage and LRU mechanics of the index table (Sec. 4.3).
  *
  * One bucket models a single 64-byte memory block holding up to
- * twelve {key, pointer} pairs kept in LRU order, MRU at slot 0. The
- * mechanics are shared by IndexTable and ShardedIndexTable so the two
- * structures cannot drift: the sharded table must stay bit-identical
- * to the unsharded one for any shard count, and that guarantee is
- * structural (same code), not just tested.
+ * twelve {key, pointer} pairs kept in LRU order, MRU at slot 0.
+ * IndexTable owns one BucketStore for its bounded mode.
  *
  * Storage is structure-of-arrays, tuned for the probe fast path:
  *
@@ -33,7 +30,7 @@
 
 #include "common/arena.hh"
 #include "common/log.hh"
-#include "common/simd.hh"
+#include "common/scan.hh"
 #include "common/types.hh"
 #include "common/zeroed_buffer.hh"
 
@@ -59,9 +56,9 @@ class BucketStore
     BucketStore() = default;
 
     /** Allocate @p buckets empty buckets of @p entries pairs each.
-     *  The key array carries simd.hh's scan padding, and both arrays
-     *  come from the run arena when one is installed (torn down for
-     *  free, recycled warm across pipeline runs). */
+     *  Both arrays come from the run arena when one is installed
+     *  (torn down for free, recycled warm across a worker thread's
+     *  consecutive runs). */
     void
     reset(std::uint64_t buckets, std::uint32_t entries)
     {
@@ -70,20 +67,18 @@ class BucketStore
         entries_ = entries;
         buckets_ = buckets;
         counts_.reset(buckets);
-        keys_.reset(buckets * entries + simd::kScanPadU64);
+        keys_.reset(buckets * entries);
         pointers_.reset(buckets * entries);
     }
 
-    /** Find @p key in @p bucket; a hit refreshes the LRU order. The
-     *  scan is the SIMD first-match kernel, bit-identical to the
-     *  scalar loop by construction (simd.hh). */
+    /** Find @p key in @p bucket; a hit refreshes the LRU order. */
     std::optional<std::uint64_t>
     lookup(std::uint64_t bucket, std::uint64_t key)
     {
         const std::uint32_t count = counts_[bucket];
         std::uint64_t *keys = &keys_[bucket * entries_];
-        const std::size_t i = simd::findFirstEqual(keys, count, key);
-        if (i != simd::kNpos) {
+        const std::size_t i = findFirstEqual(keys, count, key);
+        if (i != kNpos) {
             std::uint64_t *pointers = &pointers_[bucket * entries_];
             const std::uint64_t hit = pointers[i];
             promote(keys, pointers, static_cast<std::uint32_t>(i), key,
@@ -102,8 +97,8 @@ class BucketStore
         const std::uint32_t count = counts_[bucket];
         std::uint64_t *keys = &keys_[bucket * entries_];
         std::uint64_t *pointers = &pointers_[bucket * entries_];
-        const std::size_t i = simd::findFirstEqual(keys, count, key);
-        if (i != simd::kNpos) {
+        const std::size_t i = findFirstEqual(keys, count, key);
+        if (i != kNpos) {
             promote(keys, pointers, static_cast<std::uint32_t>(i), key,
                     pointer);
             return BucketUpdate::Refreshed;
@@ -121,8 +116,8 @@ class BucketStore
      * Software-prefetch @p bucket's probe working set into the host
      * cache: the count byte and the key array (the lines every probe
      * scans; 12 keys span two lines). Purely a host-side hint —
-     * __builtin_prefetch has no architectural effect, so batched
-     * probes that prefetch ahead stay bit-identical to scalar ones.
+     * __builtin_prefetch has no architectural effect, so warming
+     * buckets ahead of their probes cannot change model output.
      * Pointers are NOT prefetched: they are touched only on a hit,
      * and pulling a third line per probe evicts more than it saves.
      */
@@ -171,8 +166,7 @@ class BucketStore
      *  needs initialization. */
     ZeroedBuffer<std::uint8_t> counts_;
     /** keys_[bucket * entries_ + slot], MRU-first; uninitialized
-     *  beyond each bucket's count, padded per simd.hh's scan
-     *  contract. */
+     *  beyond each bucket's count. */
     ArenaBuffer<std::uint64_t> keys_;
     ArenaBuffer<std::uint64_t> pointers_;
 };

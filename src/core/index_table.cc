@@ -1,7 +1,5 @@
 #include "core/index_table.hh"
 
-#include <algorithm>
-
 #include "common/hash.hh"
 #include "common/log.hh"
 
@@ -75,52 +73,6 @@ IndexTable::update(Addr block, HistoryPointer pointer)
     case detail::BucketUpdate::Replaced:
         ++stats_.replacements;
         break;
-    }
-}
-
-void
-IndexTable::lookupBatch(std::span<const Addr> blocks,
-                        std::span<std::optional<HistoryPointer>> out)
-{
-    stms_assert(out.size() >= blocks.size(),
-                "lookupBatch output smaller than input");
-    // The probes below are literal lookup() calls in element order,
-    // so the batch is bit-identical to the scalar loop by
-    // construction; only the interleaved prefetches differ, and they
-    // have no architectural effect.
-    const bool bounded = !unbounded();
-    const std::size_t ahead =
-        std::min(kIndexProbeAhead, blocks.size());
-    if (bounded) {
-        for (std::size_t i = 0; i < ahead; ++i)
-            store_.prefetchBucket(bucketOf(blocks[i]));
-    }
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        if (bounded && i + kIndexProbeAhead < blocks.size())
-            store_.prefetchBucket(
-                bucketOf(blocks[i + kIndexProbeAhead]));
-        out[i] = lookup(blocks[i]);
-    }
-}
-
-void
-IndexTable::updateBatch(std::span<const Addr> blocks,
-                        std::span<const HistoryPointer> pointers)
-{
-    stms_assert(pointers.size() >= blocks.size(),
-                "updateBatch pointer span smaller than input");
-    const bool bounded = !unbounded();
-    const std::size_t ahead =
-        std::min(kIndexProbeAhead, blocks.size());
-    if (bounded) {
-        for (std::size_t i = 0; i < ahead; ++i)
-            store_.prefetchBucket(bucketOf(blocks[i]));
-    }
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        if (bounded && i + kIndexProbeAhead < blocks.size())
-            store_.prefetchBucket(
-                bucketOf(blocks[i + kIndexProbeAhead]));
-        update(blocks[i], pointers[i]);
     }
 }
 

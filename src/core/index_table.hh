@@ -18,6 +18,9 @@
  * in-block offset bits): two byte addresses inside the same cache
  * block are the same miss stream and must alias identically whether
  * the table is bounded or not.
+ *
+ * Each StmsPrefetcher owns one table and drives it from the thread
+ * simulating its run, so the table takes no locks.
  */
 
 #ifndef STMS_CORE_INDEX_TABLE_HH
@@ -82,18 +85,6 @@ struct IndexTableStats
     std::uint64_t replacements = 0;
 };
 
-/** Field-wise accumulate (per-shard stats merge into the aggregate). */
-inline IndexTableStats &
-operator+=(IndexTableStats &lhs, const IndexTableStats &rhs)
-{
-    lhs.lookups += rhs.lookups;
-    lhs.lookupHits += rhs.lookupHits;
-    lhs.updates += rhs.updates;
-    lhs.inserts += rhs.inserts;
-    lhs.replacements += rhs.replacements;
-    return lhs;
-}
-
 inline bool
 operator==(const IndexTableStats &lhs, const IndexTableStats &rhs)
 {
@@ -102,12 +93,6 @@ operator==(const IndexTableStats &lhs, const IndexTableStats &rhs)
            lhs.updates == rhs.updates && lhs.inserts == rhs.inserts &&
            lhs.replacements == rhs.replacements;
 }
-
-/** Probe distance of the batched index APIs: while element i is
- *  probed, element i + kProbeAhead's bucket is software-prefetched.
- *  Far enough to cover a memory round trip at ~10ns/probe, near
- *  enough that prefetched lines survive until their probe. */
-inline constexpr std::size_t kIndexProbeAhead = 8;
 
 /** Bucketized LRU hash table from block address to history pointer. */
 class IndexTable
@@ -128,22 +113,6 @@ class IndexTable
      * LRU pair when the bucket is full.
      */
     void update(Addr block, HistoryPointer pointer);
-
-    /**
-     * Probe a batch of blocks: bit-identical to calling lookup() on
-     * each element in order (same results, stats, and LRU motion),
-     * but each probe's bucket lines are software-prefetched
-     * kIndexProbeAhead probes early, hiding the host cache misses a
-     * multi-megabyte table takes on every random probe.
-     * @p out must hold at least blocks.size() elements.
-     */
-    void lookupBatch(std::span<const Addr> blocks,
-                     std::span<std::optional<HistoryPointer>> out);
-
-    /** Batched update(): bit-identical to the element-wise loop, with
-     *  the same one-batch-ahead bucket prefetch as lookupBatch. */
-    void updateBatch(std::span<const Addr> blocks,
-                     std::span<const HistoryPointer> pointers);
 
     /** Software-prefetch the buckets @p blocks hash to (host cache
      *  warm-up hint; no architectural effect, no stats). */

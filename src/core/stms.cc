@@ -21,8 +21,7 @@ makeIdealTmsConfig()
 
 StmsPrefetcher::StmsPrefetcher(const StmsConfig &config)
     : config_(config),
-      index_(config.indexBytes, config.entriesPerBucket,
-             config.indexShards),
+      index_(config.indexBytes, config.entriesPerBucket),
       bucketBuffer_(config.bucketBufferBuckets),
       sampler_(config.samplingProbability, config.seed)
 {
@@ -558,8 +557,8 @@ StmsPrefetcher::onAccessHint(CoreId core, std::span<const Addr> addrs)
     (void)core;
     // Warm the bucket lines the upcoming accesses would probe if they
     // miss off-chip. prefetchBatch is __builtin_prefetch only — no
-    // stats, no locks, no simulated traffic — so this hook cannot
-    // perturb model output no matter how chunks are cut.
+    // stats, no simulated traffic — so this hook cannot perturb model
+    // output no matter how chunks are cut.
     index_.prefetchBatch(addrs);
 }
 

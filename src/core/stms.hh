@@ -35,12 +35,11 @@
 #include <vector>
 
 #include "common/arena.hh"
-#include "common/simd.hh"
+#include "common/scan.hh"
 #include "core/bucket_buffer.hh"
 #include "core/history_buffer.hh"
 #include "core/index_table.hh"
 #include "core/sampler.hh"
-#include "core/sharded_index_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/histogram.hh"
 
@@ -64,15 +63,6 @@ struct StmsConfig
 
     /** Index-table main-memory footprint in bytes; 0 = unbounded. */
     std::uint64_t indexBytes = 16ULL << 20;
-
-    /**
-     * Lock-striped index-table shards; 1 = the unsharded legacy
-     * structure. Sharding never changes model results — buckets keep
-     * their global hash assignment regardless of the shard count —
-     * it only spreads lock contention when concurrent runs share a
-     * table (see core/sharded_index_table.hh).
-     */
-    std::uint32_t indexShards = 1;
 
     /** {address, pointer} pairs per 64-byte bucket (Sec. 5.4). */
     std::uint32_t entriesPerBucket = 12;
@@ -180,7 +170,7 @@ class StmsPrefetcher : public Prefetcher
     void onForeignCovered(CoreId core, Addr block) override;
 
     /** Chunk-dispatch hint: warm the index buckets the upcoming
-     *  accesses would probe (ShardedIndexTable::prefetchBatch).
+     *  accesses would probe (IndexTable::prefetchBatch).
      *  Host-side only; never touches model state or stats. */
     void onAccessHint(CoreId core,
                       std::span<const Addr> addrs) override;
@@ -189,8 +179,8 @@ class StmsPrefetcher : public Prefetcher
 
     const StmsStats &stats() const { return stats_; }
     const StmsConfig &config() const { return config_; }
-    const ShardedIndexTable &indexTable() const { return index_; }
-    ShardedIndexTable &indexTable() { return index_; }
+    const IndexTable &indexTable() const { return index_; }
+    IndexTable &indexTable() { return index_; }
     const HistoryBuffer &historyBuffer(CoreId core) const;
     /** Mutable history access (tests/tools, e.g. planting end marks). */
     HistoryBuffer &historyBufferMutable(CoreId core)
@@ -216,7 +206,7 @@ class StmsPrefetcher : public Prefetcher
      * Flat {block -> seq} set of a stream's issued-unconsumed
      * prefetches. Bounded by the confidence window (at most
      * addressQueueDepth entries), probed on every prefetch-buffer hit
-     * and eviction — a SIMD sweep over one or two cache lines where
+     * and eviction — a linear sweep over a few cache lines where
      * the hash map chased a heap node per probe. Keys are unique and
      * nothing observes iteration order, so swap-removal (including
      * the bulk retire sweep) cannot perturb model results.
@@ -232,8 +222,8 @@ class StmsPrefetcher : public Prefetcher
         find(Addr block)
         {
             const std::size_t slot =
-                simd::findFirstEqual(blocks_.data(), count_, block);
-            return slot == simd::kNpos ? nullptr : &seqs_[slot];
+                findFirstEqual(blocks_.data(), count_, block);
+            return slot == kNpos ? nullptr : &seqs_[slot];
         }
 
         /** Map-style upsert of {block, seq}. */
@@ -282,7 +272,7 @@ class StmsPrefetcher : public Prefetcher
         grow()
         {
             const std::size_t grown = slots_ == 0 ? 8 : slots_ * 2;
-            ArenaBuffer<Addr> blocks(grown + simd::kScanPadU64);
+            ArenaBuffer<Addr> blocks(grown);
             ArenaBuffer<SeqNum> seqs(grown);
             for (std::size_t slot = 0; slot < count_; ++slot) {
                 blocks[slot] = blocks_[slot];
@@ -293,7 +283,7 @@ class StmsPrefetcher : public Prefetcher
             slots_ = grown;
         }
 
-        ArenaBuffer<Addr> blocks_;  ///< simd.hh scan padding.
+        ArenaBuffer<Addr> blocks_;
         ArenaBuffer<SeqNum> seqs_;
         std::size_t slots_ = 0;
         std::size_t count_ = 0;
@@ -344,7 +334,7 @@ class StmsPrefetcher : public Prefetcher
 
     StmsConfig config_;
     std::string name_ = "stms";
-    ShardedIndexTable index_;
+    IndexTable index_;
     BucketBuffer bucketBuffer_;
     UpdateSampler sampler_;
     std::vector<std::unique_ptr<HistoryBuffer>> history_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/log.hh"
 #include "driver/registry.hh"
@@ -21,7 +22,7 @@ const char kUsage[] =
     "usage: driver [--list] [--experiment NAME]... [--threads N]\n"
     "              [--pipeline] [--pipeline-chunk N]\n"
     "              [--trace-cache-mb N]\n"
-    "              [--index-shards N] [--mem-backend SPEC]\n"
+    "              [--mem-backend SPEC]\n"
     "              [--trace PATH[,format=...]]...\n"
     "              [--json PATH|-] [--no-timing] [--store DIR]\n"
     "              [--rerun] [--shard I/N] [--results CMD]\n"
@@ -57,13 +58,6 @@ const char kUsage[] =
     "                    default unbounded); evicted traces "
     "regenerate\n"
     "                    bit-identically on demand\n"
-    "  --index-shards N  lock-striped index-table shards per STMS "
-    "instance\n"
-    "                    (default 1 = the unsharded legacy structure; "
-    "model\n"
-    "                    results are bit-identical for every N; "
-    "N > 1 joins\n"
-    "                    the result-store fingerprint)\n"
     "  --mem-backend SPEC  memory timing model: "
     "NAME[,key=val...] with NAME\n"
     "                    in fixed|queued|dram (e.g. 'queued,channels=4',\n"
@@ -251,27 +245,20 @@ appendTraceSpec(Options &options, const std::string &spec)
 }
 
 /**
- * Apply --index-shards: the value flows to the experiments as the
- * "index-shards" option, so a sharded sweep participates in the
- * result-store fingerprint like any other parameter. One shard IS
- * the legacy structure, so it is canonicalized away — `--index-shards
- * 1` fingerprints (and outputs) byte-identically to not passing the
- * flag, keeping every archived record reachable.
+ * True for every spelling of the removed --index-shards option:
+ * `--index-shards N`, `--index-shards=N` and bare `index-shards=N`.
+ * Rejecting them keeps an old script from slipping the key through
+ * the key=value passthrough into every run's result-store
+ * fingerprint, which would archive unchanged results as new records.
  */
 bool
-applyIndexShards(const std::string &value, DriverArgs &args,
-                 std::string &error)
+isRemovedIndexShards(const std::string &token)
 {
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(value.c_str(), &end, 0);
-    if (value.empty() || *end != '\0' || parsed < 1 ||
-        parsed > (1UL << 16)) {
-        error = "--index-shards needs an integer in [1, 65536]";
-        return false;
-    }
-    if (parsed > 1)
-        args.options.set("index-shards", std::to_string(parsed));
-    return true;
+    std::size_t start = 0;
+    while (start < token.size() && start < 2 && token[start] == '-')
+        ++start;
+    const std::string_view name = std::string_view(token).substr(start);
+    return name == "index-shards" || name.starts_with("index-shards=");
 }
 
 /**
@@ -580,6 +567,11 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
 {
     for (int i = 1; i < argc; ++i) {
         const std::string token = argv[i];
+        if (isRemovedIndexShards(token)) {
+            error = "--index-shards was removed: index-table sharding "
+                    "never changed results; drop the option";
+            return false;
+        }
         auto nextValue = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
                 error = std::string(flag) + " needs a value";
@@ -619,11 +611,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
                 }
                 if (key == "json") {
                     args.jsonPath = value;
-                    continue;
-                }
-                if (key == "index-shards") {
-                    if (!applyIndexShards(value, args, error))
-                        return false;
                     continue;
                 }
                 if (key == "mem-backend") {
@@ -743,12 +730,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             if (!value)
                 return false;
             args.jsonPath = value;
-        } else if (token == "--index-shards") {
-            const char *value = nextValue("--index-shards");
-            if (!value)
-                return false;
-            if (!applyIndexShards(value, args, error))
-                return false;
         } else if (token == "--mem-backend") {
             const char *value = nextValue("--mem-backend");
             if (!value)
@@ -781,15 +762,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             if (!value)
                 return false;
             args.resultsCmd = value;
-        } else if (token.rfind("index-shards=", 0) == 0) {
-            // The bare key=value spelling of --index-shards routes
-            // through the same validation and one-shard
-            // canonicalization, so every spelling fingerprints
-            // consistently.
-            if (!applyIndexShards(
-                    token.substr(sizeof("index-shards=") - 1), args,
-                    error))
-                return false;
         } else if (args.options.parseToken(token)) {
             // key=value (or --key=value) passthrough.
         } else if (!args.resultsCmd.empty() && !token.empty() &&

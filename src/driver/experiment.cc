@@ -44,17 +44,6 @@ plannedRecords(const Options &options, std::uint64_t fallback)
     return fallback;
 }
 
-std::uint32_t
-plannedIndexShards(const Options &options)
-{
-    const std::uint64_t shards = options.getUint("index-shards", 1);
-    if (shards == 0 || shards > (1ULL << 16)) {
-        stms_fatal("index-shards must be in [1, 65536], got %llu",
-                   static_cast<unsigned long long>(shards));
-    }
-    return static_cast<std::uint32_t>(shards);
-}
-
 std::optional<MemBackendSpec>
 plannedMemBackend(const Options &options)
 {

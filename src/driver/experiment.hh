@@ -128,15 +128,6 @@ std::uint64_t plannedRecords(const Options &options,
                              std::uint64_t fallback);
 
 /**
- * Index-table shard count for a plan: the "index-shards" option
- * (set by the driver's --index-shards flag) when present, else 1 —
- * the unsharded legacy structure. Sharding never changes model
- * results, so every STMS experiment threads this through its
- * StmsConfig unconditionally.
- */
-std::uint32_t plannedIndexShards(const Options &options);
-
-/**
  * Memory-backend spec for a plan: parsed from the "mem-backend"
  * option (set by the driver's --mem-backend flag). Returns nullopt
  * when the option is absent — every run keeps its own default — and

@@ -17,7 +17,6 @@ registerBuiltinExperiments(ExperimentRegistry &registry)
     registry.add(makeFig8Sampling());
     registry.add(makeFig9Performance());
     registry.add(makeTable2Mlp());
-    registry.add(makeIndexContention());
     registry.add(makeMemTechSweep());
     registry.add(makePerfSuite());
     registry.add(makeIngestReplay());

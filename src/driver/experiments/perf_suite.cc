@@ -14,8 +14,8 @@
  *              queues.
  *
  * and reports records/sec, per-stage wall time, and peak RSS for
- * each. Like index_contention, this is a measurement harness: plan()
- * is empty and the work happens in report() on real host threads.
+ * each. This is a measurement harness: plan() is empty and the work
+ * happens in report() on real host threads.
  *
  * Determinism is gated where the numbers are made: the encoded
  * RunOutput scalars of every run must be bit-identical across the
@@ -67,26 +67,6 @@ class PinnedSweep final : public ExperimentBase
     std::vector<RunSpec> plan_;
 };
 
-/** FNV-1a over the canonically encoded scalars of every run, in plan
- *  order — one number that changes iff any model output changes. */
-std::uint64_t
-modelDigest(const std::vector<RunSpec> &plan, const RunSet &runs)
-{
-    std::uint64_t digest = kFnv1aOffset;
-    for (const RunSpec &spec : plan) {
-        digest = fnv1a64(spec.id.data(), spec.id.size(), digest);
-        for (const auto &[name, value] :
-             results::encodeRunOutput(runs.at(spec.id))) {
-            digest = fnv1a64(name.data(), name.size(), digest);
-            static_assert(sizeof(double) == sizeof(std::uint64_t));
-            char bits[sizeof(double)];
-            __builtin_memcpy(bits, &value, sizeof(bits));
-            digest = fnv1a64(bits, sizeof(bits), digest);
-        }
-    }
-    return digest;
-}
-
 /** One schedule's measurement. */
 struct ModeResult
 {
@@ -112,8 +92,8 @@ class PerfSuite final : public ExperimentBase
     std::vector<RunSpec>
     plan(const Options &) const override
     {
-        // A host-side measurement harness (like index_contention):
-        // the sweeps run inside report() with their own runners.
+        // A host-side measurement harness: the sweeps run inside
+        // report() with their own runners.
         return {};
     }
 
@@ -157,7 +137,11 @@ class PerfSuite final : public ExperimentBase
             result.rssIsolated = resetPeakRss();
             const RunSet runs =
                 runner.execute(sweep, sweep_options, &result.stats);
-            result.digest = modelDigest(plan, runs);
+            result.digest = kFnv1aOffset;
+            for (const RunSpec &spec : plan) {
+                result.digest = results::foldModelDigest(
+                    result.digest, spec.id, runs.at(spec.id));
+            }
             result.peakRssKb = peakRssKb();
             return result;
         };

@@ -1,7 +1,5 @@
 #include "driver/report.hh"
 
-#include "common/simd.hh"
-
 namespace stms::driver
 {
 
@@ -72,12 +70,6 @@ Report::toJson() const
                std::to_string(timing_.chunkRecords) + ",\n";
         out += "    \"peak_resident_chunks\": " +
                std::to_string(timing_.peakResidentChunks) + ",\n";
-        // Timing-only by design: the kernel ISA never appears in
-        // timing-free reports, so the byte-identity gates stay blind
-        // to which SIMD path produced the model output (which is the
-        // point — they prove it doesn't matter).
-        out += "    \"simd_isa\": \"" +
-               jsonEscape(simd::activeIsa()) + "\",\n";
         // Sampler keys render only when sampling ran: default timing
         // output stays byte-identical to the pre-telemetry format.
         if (timing_.sampleEvery > 0) {

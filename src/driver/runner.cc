@@ -152,23 +152,12 @@ ExperimentRunner::execute(const Experiment &experiment,
     const Clock::time_point wall_start = Clock::now();
     std::vector<RunSpec> plan = experiment.plan(options);
 
-    // Cross-cutting STMS knobs apply here, after plan(), so every
+    // Cross-cutting knobs apply here, after plan(), so every
     // experiment honors them without threading them through each
-    // definition. Sharding the index table never changes model
-    // results (core/sharded_index_table.hh), so this cannot
-    // invalidate a plan's figure semantics.
-    const std::uint32_t index_shards = plannedIndexShards(options);
-    if (index_shards > 1) {
-        for (RunSpec &spec : plan) {
-            if (spec.config.stms)
-                spec.config.stms->indexShards = index_shards;
-        }
-    }
-
-    // --mem-backend swaps the memory timing model under every run the
-    // same way, except runs that pinned their backend (mem_tech_sweep
-    // plans one run per backend; a global override must not collapse
-    // that sweep onto a single model).
+    // definition. --mem-backend swaps the memory timing model under
+    // every run, except runs that pinned their backend
+    // (mem_tech_sweep plans one run per backend; a global override
+    // must not collapse that sweep onto a single model).
     if (const auto backend = plannedMemBackend(options)) {
         for (RunSpec &spec : plan) {
             if (!spec.config.sim.memory.backendPinned)

@@ -3,27 +3,13 @@
 #include <cstring>
 
 #include "common/log.hh"
-#include "common/simd.hh"
+#include "common/scan.hh"
 
 namespace stms
 {
 
-namespace
-{
-
-/** Slot of @p block in the MRU-first array, or simd::kNpos. */
-std::size_t
-slotOf(const ArenaBuffer<Addr> &blocks, std::uint32_t count,
-       Addr block)
-{
-    return simd::findFirstEqual(blocks.data(), count, block);
-}
-
-} // namespace
-
 PrefetchBuffer::PrefetchBuffer(std::uint32_t capacity)
-    : capacity_(capacity),
-      blocks_(capacity + simd::kScanPadU64)
+    : capacity_(capacity), blocks_(capacity)
 {
     stms_assert(capacity > 0, "prefetch buffer needs capacity");
 }
@@ -31,14 +17,16 @@ PrefetchBuffer::PrefetchBuffer(std::uint32_t capacity)
 bool
 PrefetchBuffer::contains(Addr block) const
 {
-    return slotOf(blocks_, count_, blockAlign(block)) != simd::kNpos;
+    return findFirstEqual(blocks_.data(), count_, blockAlign(block)) !=
+           kNpos;
 }
 
 bool
 PrefetchBuffer::consume(Addr block)
 {
-    const std::size_t slot = slotOf(blocks_, count_, blockAlign(block));
-    if (slot == simd::kNpos)
+    const std::size_t slot =
+        findFirstEqual(blocks_.data(), count_, blockAlign(block));
+    if (slot == kNpos)
         return false;
     // Close the gap; entries behind the hit keep their LRU order.
     std::memmove(&blocks_[slot], &blocks_[slot + 1],
@@ -51,8 +39,8 @@ std::optional<Addr>
 PrefetchBuffer::insert(Addr block)
 {
     block = blockAlign(block);
-    const std::size_t slot = slotOf(blocks_, count_, block);
-    if (slot != simd::kNpos) {
+    const std::size_t slot = findFirstEqual(blocks_.data(), count_, block);
+    if (slot != kNpos) {
         // Refresh recency of a duplicate fill.
         std::memmove(&blocks_[1], &blocks_[0], slot * sizeof(Addr));
         blocks_[0] = block;

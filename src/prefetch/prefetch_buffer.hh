@@ -8,8 +8,8 @@
  * (Sec. 4.2, following Jouppi's victim/stream buffers).
  *
  * Storage is one flat MRU-first address array — at 32 entries that is
- * four cache lines scanned with the simd.hh first-match kernel, where
- * the old list+hash-map pair cost a heap node and a pointer chase per
+ * four cache lines scanned with findFirstEqual() (common/scan.hh),
+ * where the old list+hash-map pair cost a heap node and a pointer chase per
  * block. Recency moves are the same shift-to-front the index buckets
  * use, so LRU order (and therefore every eviction) is bit-identical
  * to the list implementation.
@@ -62,7 +62,7 @@ class PrefetchBuffer
   private:
     std::uint32_t capacity_;
     std::uint32_t count_ = 0;
-    /** blocks_[0, count_), MRU at slot 0; simd.hh scan padding. */
+    /** blocks_[0, count_), MRU at slot 0. */
     ArenaBuffer<Addr> blocks_;
 };
 

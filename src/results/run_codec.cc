@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
+
+#include "common/hash.hh"
 
 namespace stms::results
 {
@@ -356,6 +359,21 @@ decodeRunOutput(
     output.stmsFullCoverage = dec.get("full_coverage");
     output.stmsPartialCoverage = dec.get("partial_coverage");
     return true;
+}
+
+std::uint64_t
+foldModelDigest(std::uint64_t digest, const std::string &id,
+                const RunOutput &output)
+{
+    digest = fnv1a64(id.data(), id.size(), digest);
+    for (const auto &[name, value] : encodeRunOutput(output)) {
+        digest = fnv1a64(name.data(), name.size(), digest);
+        static_assert(sizeof(double) == sizeof(std::uint64_t));
+        char bits[sizeof(double)];
+        std::memcpy(bits, &value, sizeof(bits));
+        digest = fnv1a64(bits, sizeof(bits), digest);
+    }
+    return digest;
 }
 
 } // namespace stms::results

@@ -18,6 +18,7 @@
 #ifndef STMS_RESULTS_RUN_CODEC_HH
 #define STMS_RESULTS_RUN_CODEC_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,17 @@ encodeRunOutput(const RunOutput &output);
 bool decodeRunOutput(
     const std::vector<std::pair<std::string, double>> &scalars,
     RunOutput &output, std::string &error);
+
+/**
+ * Fold run @p id's @p output into the FNV-1a model digest @p digest:
+ * the id, then every encodeRunOutput() scalar's name and value bits.
+ * Folding a plan's runs in plan order, starting from kFnv1aOffset,
+ * gives one number that changes iff any model output changes
+ * (perf_suite's model_digest).
+ */
+std::uint64_t foldModelDigest(std::uint64_t digest,
+                              const std::string &id,
+                              const RunOutput &output);
 
 } // namespace stms::results
 

@@ -283,7 +283,7 @@ class MemorySystem : public PrefetchPort
     /** buffers_[pf][core]. */
     std::vector<std::vector<PrefetchBuffer>> buffers_;
     std::vector<std::vector<std::uint32_t>> inflightPrefetches_;
-    /** In-flight fills, keyed by block. Flat SIMD-scanned table: the
+    /** In-flight fills, keyed by block. A flat scanned table: the
      *  file is small (demand window + prefetch caps) but probed per
      *  demand access and prefetch issue (common/addr_map.hh). */
     FlatAddrMap<Mshr> mshrs_;

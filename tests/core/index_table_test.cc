@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/hash.hh"
 #include "core/index_table.hh"
 
 namespace stms
@@ -235,6 +236,61 @@ TEST(IndexTable, FullLoadKeepsHitRateForHotSet)
     for (Addr addr : hot)
         hits += table.lookup(addr).has_value() ? 1 : 0;
     EXPECT_GT(hits, 48);  // >75% of the hot set survives.
+}
+
+/** Fill @p table with a deterministic update mix, then probe it;
+ *  returns the probed blocks. Sub-block offsets exercise key
+ *  normalization. */
+std::vector<Addr>
+churn(IndexTable &table)
+{
+    std::vector<Addr> probes;
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        table.update(blockAddress(mixHash64(i) % 1024) + (i % 64),
+                     HistoryPointer{static_cast<CoreId>(i % 4), i});
+        probes.push_back(blockAddress(mixHash64(i / 2) % 1024) +
+                         (i % 32));
+    }
+    for (const Addr block : probes)
+        table.lookup(block);
+    return probes;
+}
+
+TEST(IndexTable, PrefetchBatchIsArchitecturallyInert)
+{
+    // prefetchBatch is the onAccessHint warm-up: a host-cache hint
+    // that must leave stats, occupancy and LRU order untouched.
+    IndexTable table(1 << 16, 12);
+    const std::vector<Addr> probes = churn(table);
+    const IndexTableStats before = table.stats();
+    const std::uint64_t pairs = table.occupancy();
+
+    table.prefetchBatch(probes);
+
+    EXPECT_TRUE(table.stats() == before);
+    EXPECT_EQ(table.occupancy(), pairs);
+    // LRU order untouched: the same probes still hit identically.
+    IndexTable replay(1 << 16, 12);
+    churn(replay);
+    for (const Addr block : probes) {
+        const auto got = table.lookup(block);
+        const auto expect = replay.lookup(block);
+        ASSERT_EQ(got.has_value(), expect.has_value());
+        if (got) {
+            EXPECT_EQ(got->seq, expect->seq);
+        }
+    }
+}
+
+TEST(IndexTable, PrefetchBatchAcceptsEmptyInput)
+{
+    for (const std::uint64_t bytes : {std::uint64_t{1} << 14,
+                                      std::uint64_t{0}}) {
+        IndexTable table(bytes, 12);
+        table.prefetchBatch({});
+        EXPECT_TRUE(table.stats() == IndexTableStats{});
+        EXPECT_EQ(table.occupancy(), 0u);
+    }
 }
 
 } // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <tuple>
 #include <vector>
 
 #include "core/stms.hh"
@@ -138,36 +137,6 @@ TEST(Stms, SamplingZeroNeverIndexes)
     EXPECT_EQ(stms.stats().lookupHits, 0u);
     EXPECT_TRUE(port.issued.empty());
     EXPECT_EQ(stms.indexTable().occupancy(), 0u);
-}
-
-TEST(Stms, IndexShardingIsInvisibleToTheModel)
-{
-    // The sharded index table partitions locks, not buckets: the same
-    // miss sequence must produce identical prefetches and stats for
-    // every shard count (asserted bit-exactly here, gated in CI).
-    std::vector<Addr> sequence;
-    for (Addr round = 0; round < 3; ++round)
-        for (Addr i = 0; i < 64; ++i)
-            sequence.push_back((i * 37 + round) % 64 + 1);
-
-    auto run = [&](std::uint32_t shards) {
-        ScriptedPort port;
-        StmsConfig config = unitConfig();
-        config.indexShards = shards;
-        StmsPrefetcher stms(config);
-        stms.attach(port, 1, 0);
-        for (Addr block : sequence)
-            stms.onOffchipRead(0, blockAddress(block));
-        return std::make_tuple(port.issued, stms.stats().lookupHits,
-                               stms.stats().streamsStarted,
-                               stms.indexTable().occupancy());
-    };
-
-    const auto reference = run(1);
-    EXPECT_EQ(std::get<3>(reference),
-              std::get<3>(run(1)));  // Self-consistent.
-    for (std::uint32_t shards : {2u, 4u, 8u})
-        EXPECT_TRUE(reference == run(shards)) << "shards=" << shards;
 }
 
 TEST(Stms, OffchipLookupCostsOneBlockReadEach)

@@ -185,38 +185,29 @@ TEST(DriverCli, StoreFlagsParse)
     parse({"--rerun=1"}, /*expect_ok=*/false);
 }
 
-TEST(DriverCli, IndexShardsFlagFlowsToOptions)
+TEST(DriverCli, RemovedIndexShardsOptionIsRejected)
 {
-    // Both spellings land in the "index-shards" experiment option so
-    // the value participates in result-store fingerprints.
-    const DriverArgs space =
-        parse({"--experiment", "fig7", "--index-shards", "4"});
-    EXPECT_EQ(space.options.getUint("index-shards", 1), 4u);
-    const DriverArgs equals =
-        parse({"--experiment=fig7", "--index-shards=8"});
-    EXPECT_EQ(equals.options.getUint("index-shards", 1), 8u);
-
-    // The bare key=value spelling routes through the same path.
-    const DriverArgs bare = parse({"-e", "fig7", "index-shards=16"});
-    EXPECT_EQ(bare.options.getUint("index-shards", 1), 16u);
-
-    // One shard IS the legacy structure: every spelling of it is
-    // canonicalized away so the fingerprint (and every archived
-    // record) stays unchanged.
-    for (const char *spelling :
-         {"--index-shards=1", "index-shards=1"}) {
-        const DriverArgs legacy =
-            parse({"--experiment", "fig7", spelling});
-        EXPECT_FALSE(legacy.options.has("index-shards")) << spelling;
+    // Every spelling fails with the same message; none may fall
+    // through to the key=value store, where "index-shards" would join
+    // the result-store fingerprint without changing any result.
+    for (const std::vector<const char *> &tokens :
+         {std::vector<const char *>{"--index-shards", "4"},
+          std::vector<const char *>{"--index-shards=4"},
+          std::vector<const char *>{"index-shards=4"}}) {
+        std::vector<const char *> argv = {"driver", "-e", "fig7"};
+        argv.insert(argv.end(), tokens.begin(), tokens.end());
+        DriverArgs args;
+        std::string error;
+        EXPECT_FALSE(parseDriverArgs(static_cast<int>(argv.size()),
+                                     const_cast<char **>(argv.data()),
+                                     args, error))
+            << tokens[0];
+        EXPECT_EQ(error, "--index-shards was removed: index-table "
+                         "sharding never changed results; drop the "
+                         "option")
+            << tokens[0];
+        EXPECT_FALSE(args.options.has("index-shards")) << tokens[0];
     }
-    const DriverArgs legacy =
-        parse({"--experiment", "fig7", "--index-shards", "1"});
-    EXPECT_FALSE(legacy.options.has("index-shards"));
-
-    parse({"--index-shards", "0"}, /*expect_ok=*/false);
-    parse({"--index-shards=junk"}, /*expect_ok=*/false);
-    parse({"index-shards=0"}, /*expect_ok=*/false);
-    parse({"--index-shards"}, /*expect_ok=*/false);
 }
 
 TEST(DriverCli, ShardParses)

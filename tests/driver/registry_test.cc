@@ -77,7 +77,7 @@ TEST(ExperimentRegistry, GlobalHasEveryBuiltin)
     const char *expected[] = {
         "fig1-overhead", "fig1-storage", "fig4", "fig5",
         "fig6", "fig7", "fig8", "fig9",
-        "table2", "index_contention", "mem_tech_sweep", "perf_suite",
+        "table2", "mem_tech_sweep", "perf_suite",
         "ingest_replay", "synth_vs_ingest",
         "ablate-bucket", "ablate-priority", "ablate-sharing"};
     for (const char *name : expected) {
@@ -95,10 +95,9 @@ TEST(ExperimentRegistry, BuiltinPlansAreNonEmptyWithUniqueIds)
     for (const Experiment *experiment :
          ExperimentRegistry::global().all()) {
         const auto plan = experiment->plan(options);
-        if (experiment->name() == "index_contention" ||
-            experiment->name() == "perf_suite") {
-            // Host-thread measurement harnesses: all work happens in
-            // report(), so their plans are deliberately empty.
+        if (experiment->name() == "perf_suite") {
+            // Host-thread measurement harness: all work happens in
+            // report(), so its plan is deliberately empty.
             EXPECT_TRUE(plan.empty());
             continue;
         }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include "sim/mem_backend.hh"
 #include "sim/memctrl.hh"
@@ -28,6 +29,18 @@ struct BackendCase
     const char *name;
     MemBackendKind kind;
 };
+
+/**
+ * Print a case as its backend name. gtest's default would dump the
+ * struct's raw bytes, name pointer included, and ctest bakes that
+ * dump into each test's name — so the names would shift with every
+ * build's load address.
+ */
+void
+PrintTo(const BackendCase &backend_case, std::ostream *os)
+{
+    *os << backend_case.name;
+}
 
 /** Block @p n as a byte address (all backends decode block numbers). */
 Addr

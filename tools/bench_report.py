@@ -9,9 +9,7 @@ runs the pinned perf_suite sweep (fig7 plan, records=65536 unless
 overridden), prints the throughput table, and appends one entry to the
 repo-root trajectory artifact (BENCH_10.json by default; an absent
 artifact is seeded from the newest earlier BENCH_*.json so the
-trajectory stays one unbroken series across PRs). Each entry records
-the SIMD kernel path the driver selected (timing.simd_isa), so the
-trajectory distinguishes scalar-build numbers from vectorized ones.
+trajectory stays one unbroken series across PRs).
 
 Gating policy (docs/PERF.md): determinism gates — the model metrics
 (everything not ending in a timing suffix: _s, _per_sec, _kb, _ratio,
@@ -41,13 +39,6 @@ Options:
   --reference-binary P   also time an older driver binary on the same
                          pinned sweep (plain `--experiment fig7`) and
                          record the speedup of the current binary
-  --simd-off-driver P    SIMD bit-identity gate: run the pinned sweep
-                         once through a scalar (STMS_SIMD=OFF) driver
-                         build and fail unless its model_digest — the
-                         FNV-1a over every model metric — equals the
-                         main driver's. This is the whole-sweep
-                         counterpart of the per-kernel identity tests:
-                         vectorization must never change the model
   --telemetry-gate       measure the pinned fig7 sweep with telemetry
                          off vs on (--trace-out + --sample-every 4096)
                          and fail if enabled telemetry costs more
@@ -213,7 +204,6 @@ def main():
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--gate", action="store_true")
     parser.add_argument("--reference-binary")
-    parser.add_argument("--simd-off-driver")
     parser.add_argument("--telemetry-gate", action="store_true")
     parser.add_argument("--telemetry-reps", type=int, default=5)
     parser.add_argument("--out", default=REPO_ROOT / "BENCH_10.json")
@@ -222,9 +212,7 @@ def main():
 
     report = run_perf_suite(args.driver, args.records, args.threads)
     metrics = report["metrics"]
-    simd_isa = report.get("timing", {}).get("simd_isa", "unknown")
     print_table(metrics)
-    print(f"simd kernel path: {simd_isa}")
 
     if args.gate:
         # Determinism gate: a different pipelined worker count must
@@ -265,37 +253,6 @@ def main():
                   "writable, per-schedule RSS isolation unavailable",
                   file=sys.stderr)
 
-    simd_gate = None
-    if args.simd_off_driver:
-        # SIMD bit-identity gate: the same pinned sweep through a
-        # scalar build must land on the same model digest — one number
-        # covering every model metric of every run in the suite.
-        off_report = run_perf_suite(args.simd_off_driver,
-                                    args.records, args.threads)
-        off_isa = off_report.get("timing", {}).get("simd_isa",
-                                                   "unknown")
-        if off_isa != "scalar":
-            print(f"SIMD gate FAILED: --simd-off-driver reports "
-                  f"kernel path '{off_isa}', expected 'scalar' "
-                  f"(is it an STMS_SIMD=OFF build?)", file=sys.stderr)
-            return 1
-        native_digest = model_digest(metrics)
-        off_digest = model_digest(off_report["metrics"])
-        if native_digest != off_digest:
-            print(f"SIMD gate FAILED: model digest diverges between "
-                  f"kernel paths — {simd_isa}={native_digest} vs "
-                  f"scalar={off_digest}", file=sys.stderr)
-            for key in sorted(model_metrics(metrics)):
-                off_value = off_report["metrics"].get(key)
-                if metrics[key] != off_value:
-                    print(f"  {key}: {metrics[key]} != {off_value}",
-                          file=sys.stderr)
-            return 1
-        print(f"SIMD gate OK: model digest {native_digest} identical "
-              f"between '{simd_isa}' and 'scalar' kernel paths")
-        simd_gate = {"simd_off_isa": off_isa,
-                     "simd_off_model_digest": off_digest}
-
     telemetry = None
     if args.telemetry_gate:
         off_rps, on_rps = measure_telemetry_overhead(
@@ -324,11 +281,6 @@ def main():
         "records": int(metrics["records"]),
         "runs": int(metrics["runs"]),
         "model_digest": model_digest(metrics),
-        # Which scan-kernel path produced these numbers (PR 10):
-        # "scalar" for STMS_SIMD=OFF builds, else the ISA the runtime
-        # probe picked. Timing context, not a model input — the SIMD
-        # gate above proves the digest doesn't depend on it.
-        "simd_isa": simd_isa,
     }
     for mode in ("serial", "pipeline"):
         for field in ("records_per_sec", "wall_s", "acquire_s",
@@ -347,10 +299,6 @@ def main():
     # -on throughput on the same pinned sweep.
     if telemetry is not None:
         entry.update(telemetry)
-    # SIMD bit-identity gate outcome (PR 10), when a scalar build was
-    # supplied for cross-checking.
-    if simd_gate is not None:
-        entry.update(simd_gate)
 
     if args.reference_binary:
         # Same pinned sweep, same machine, both binaries, identical

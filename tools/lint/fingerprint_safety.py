@@ -48,7 +48,6 @@ TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio", "_chunks")
 TIMING_METRIC_FILES = frozenset(
     {
         "src/driver/experiments/perf_suite.cc",
-        "src/driver/experiments/index_contention.cc",
     }
 )
 

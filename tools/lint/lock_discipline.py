@@ -22,10 +22,9 @@ Two invariants the concurrency work depends on:
    arena (common/arena.hh: ArenaBuffer / ArenaAllocator); raw ``new``,
    ``malloc``-family calls, or ``make_unique`` in those files
    reintroduce the per-run global-heap traffic the arena exists to
-   eliminate — and bypass the SIMD padded-read allocation contract
-   (simd.hh) the arena-backed buffers encode.  ZeroedBuffer (calloc
-   semantics for stat counters) stays sanctioned: it lives outside the
-   banned files and is not a per-run hot-path allocation.
+   eliminate.  ZeroedBuffer (calloc semantics for stat counters) stays
+   sanctioned: it lives outside the banned files and is not a per-run
+   hot-path allocation.
 """
 
 from __future__ import annotations
@@ -121,9 +120,7 @@ def check(root):
                         "raw heap allocation in an arena-managed "
                         "hot-path file: use ArenaBuffer / "
                         "ArenaAllocator (common/arena.hh) so per-run "
-                        "storage comes from the run arena and honors "
-                        "the SIMD padded-read contract (common/"
-                        "simd.hh)",
+                        "storage comes from the run arena",
                     )
                 )
     return violations

@@ -7,7 +7,7 @@ struct CleanHistoryLog
     void
     reset(unsigned long entries)
     {
-        blocks_.reset(entries + 3);  // padded per the scan contract
+        blocks_.reset(entries);
         marks_.reset(entries);
     }
 
