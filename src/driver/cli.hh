@@ -2,7 +2,7 @@
  * @file
  * The unified experiment CLI.
  *
- * One binary replaces the old per-bench mains:
+ * One binary runs every registered experiment:
  *
  *   driver --list
  *   driver --experiment fig7
@@ -11,8 +11,7 @@
  *
  * Flags select and steer the engine; bare key=value tokens (records,
  * sampling, ...) flow into the experiment's Options unchanged, the
- * same syntax the examples always used. The old bench binaries still
- * exist as two-line stubs calling experimentMain().
+ * same syntax the examples always used.
  */
 
 #ifndef STMS_DRIVER_CLI_HH
@@ -93,12 +92,6 @@ bool parseDriverArgs(int argc, char **argv, DriverArgs &args,
 
 /** Full CLI entry point (the driver binary's main). */
 int driverMain(int argc, char **argv);
-
-/**
- * Run a single named experiment with a bench-stub command line
- * (flags + key=value, no --experiment). Exit code 0 on success.
- */
-int experimentMain(const std::string &name, int argc, char **argv);
 
 } // namespace stms::driver
 

@@ -16,9 +16,6 @@ Cache::Cache(const CacheConfig &config)
     stms_assert(isPowerOfTwo(sets_), "%s: set count %llu not a power of 2",
                 name_.c_str(), static_cast<unsigned long long>(sets_));
     lines_.resize(sets_ * ways_);
-    repl_.reserve(sets_);
-    for (std::uint64_t s = 0; s < sets_; ++s)
-        repl_.emplace_back(config.policy, ways_, config.seed + s);
 }
 
 Eviction
@@ -26,38 +23,35 @@ Cache::fill(Addr block_addr, bool dirty)
 {
     block_addr = blockAlign(block_addr);
     Eviction evicted;
-    const std::uint64_t set = setIndex(block_addr);
-    Line *base = &lines_[set * ways_];
 
     // Refill of a block that is already present just updates state.
-    std::uint32_t way = 0;
-    if (Line *line = findLine(block_addr, &way)) {
+    if (Line *line = findLine(block_addr)) {
         line->dirty |= dirty;
-        repl_[set].touch(way);
+        line->lastUse = ++clock_;
         return evicted;
     }
 
-    // Prefer an invalid way.
-    std::uint32_t victim_way = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim_way = w;
+    // The first invalid way, else the first way with the oldest stamp.
+    Line *base = &lines_[setIndex(block_addr) * ways_];
+    Line *victim = base;
+    for (Line *line = base; line != base + ways_; ++line) {
+        if (!line->valid) {
+            victim = line;
             break;
         }
+        if (line->lastUse < victim->lastUse)
+            victim = line;
     }
-    if (victim_way == ways_) {
-        victim_way = repl_[set].victim();
-        Line &victim = base[victim_way];
+    if (victim->valid) {
         evicted.valid = true;
-        evicted.dirty = victim.dirty;
-        evicted.blockAddr = victim.tag;
+        evicted.dirty = victim->dirty;
+        evicted.blockAddr = victim->tag;
         ++stats_.evictions;
-        if (victim.dirty)
+        if (victim->dirty)
             ++stats_.dirtyEvictions;
     }
 
-    base[victim_way] = Line{block_addr, true, dirty};
-    repl_[set].touch(victim_way);
+    *victim = Line{block_addr, ++clock_, true, dirty};
     ++stats_.fills;
     return evicted;
 }

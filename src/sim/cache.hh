@@ -1,11 +1,12 @@
 /**
  * @file
- * Functional set-associative cache model.
+ * Functional set-associative LRU cache model.
  *
  * The cache is functional: it tracks presence/dirtiness and hit/miss
  * statistics; latency composition is done by the MemorySystem that owns
  * it. This mirrors the split in trace-driven simulators where the tag
- * array is exact and timing is layered on top.
+ * array is exact and timing is layered on top. Replacement is LRU, as
+ * in the paper's Table 1 caches.
  */
 
 #ifndef STMS_SIM_CACHE_HH
@@ -16,19 +17,16 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "sim/replacement.hh"
 
 namespace stms
 {
 
-/** Geometry and policy of one cache level. */
+/** Geometry of one cache level. */
 struct CacheConfig
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 64 * 1024;
     std::uint32_t ways = 2;
-    ReplPolicy policy = ReplPolicy::Lru;
-    std::uint64_t seed = 1;
 };
 
 /** Result of a cache eviction: what got displaced, if anything. */
@@ -58,7 +56,7 @@ struct CacheStats
     }
 };
 
-/** Set-associative, write-back, write-allocate cache tag array. */
+/** Set-associative, write-back, write-allocate LRU cache tag array. */
 class Cache
 {
   public:
@@ -73,20 +71,17 @@ class Cache
     bool
     access(Addr block_addr, bool is_write)
     {
-        block_addr = blockAlign(block_addr);
-        std::uint32_t way = 0;
-        Line *line = findLine(block_addr, &way);
-        if (line) {
+        if (Line *line = findLine(blockAlign(block_addr))) {
             ++stats_.hits;
             line->dirty |= is_write;
-            repl_[setIndex(block_addr)].touch(way);
+            line->lastUse = ++clock_;
             return true;
         }
         ++stats_.misses;
         return false;
     }
 
-    /** Probe without disturbing replacement state or stats. */
+    /** Probe without disturbing recency or stats. */
     bool
     contains(Addr block_addr) const
     {
@@ -94,7 +89,8 @@ class Cache
     }
 
     /**
-     * Install a block, evicting a victim if the set is full.
+     * Install a block into the set's first invalid way or, if the set
+     * is full, in place of its least recently used block.
      * @return description of the displaced block, if any.
      */
     Eviction fill(Addr block_addr, bool dirty = false);
@@ -120,6 +116,9 @@ class Cache
     struct Line
     {
         Addr tag = kInvalidAddr;
+        /** clock_ at the last access or fill. Stamps are compared only
+         *  within a set, so one clock per cache orders every set. */
+        std::uint64_t lastUse = 0;
         bool valid = false;
         bool dirty = false;
     };
@@ -131,17 +130,13 @@ class Cache
     }
 
     Line *
-    findLine(Addr block_addr, std::uint32_t *way_out = nullptr)
+    findLine(Addr block_addr)
     {
         const std::uint64_t set = setIndex(block_addr);
         Line *base = &lines_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (base[w].valid && base[w].tag == block_addr) {
-                if (way_out)
-                    *way_out = w;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].tag == block_addr)
                 return &base[w];
-            }
-        }
         return nullptr;
     }
 
@@ -160,7 +155,7 @@ class Cache
     std::uint64_t sets_;
     std::uint32_t ways_;
     std::vector<Line> lines_;
-    std::vector<ReplacementState> repl_;
+    std::uint64_t clock_ = 0;
     CacheStats stats_;
 };
 

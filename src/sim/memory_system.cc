@@ -56,7 +56,6 @@ MemorySystem::MemorySystem(EventQueue &events,
     for (std::uint32_t c = 0; c < config.numCores; ++c) {
         CacheConfig l1cfg = config.l1;
         l1cfg.name = "l1." + std::to_string(c);
-        l1cfg.seed = config.l1.seed + c * 7919;
         l1s_.push_back(std::make_unique<Cache>(l1cfg));
     }
     mlpMeters_.resize(config.numCores);
@@ -169,20 +168,25 @@ MemorySystem::handleMiss(CoreId core, Addr block, bool is_write,
 {
     const Cycle now = events_.now();
     if (Mshr *merged = mshrs_.find(block)) {
-        Mshr &mshr = *merged;
-        mshr.write |= is_write;
-        if (mshr.prefetch && !mshr.demandWaiting) {
+        merged->write |= is_write;
+        if (merged->prefetch && !merged->demandWaiting) {
             // Demand request caught an in-flight prefetch: the miss is
             // partially covered (Fig. 9 "partially covered").
-            mshr.demandWaiting = true;
+            merged->demandWaiting = true;
             ++stats_.partialMisses;
-            ++pfStats_[mshr.owner->id()].partial;
-            mshr.owner->onPrefetchUsed(core, block, true);
+            Prefetcher *owner = merged->owner;
+            ++pfStats_[owner->id()].partial;
+            // The hooks may issue prefetches, and an MSHR insert can
+            // move every entry: look the merged MSHR up again after.
+            owner->onPrefetchUsed(core, block, true);
             for (Prefetcher *other : prefetchers_) {
-                if (other != mshr.owner)
+                if (other != owner)
                     other->onForeignCovered(core, block);
             }
-        } else if (!mshr.prefetch) {
+            merged = mshrs_.find(block);
+            stms_assert(merged != nullptr,
+                        "MSHR retired during a demand merge");
+        } else if (!merged->prefetch) {
             // Merged with another outstanding demand fetch; still an
             // uncovered miss from the core's point of view.
             ++stats_.offchipReads;
@@ -190,11 +194,11 @@ MemorySystem::handleMiss(CoreId core, Addr block, bool is_write,
             // Second demand merging into an already-promoted prefetch:
             // still partially covered from this core's point of view.
             ++stats_.partialMisses;
-            ++pfStats_[mshr.owner->id()].partial;
+            ++pfStats_[merged->owner->id()].partial;
         }
         if (done)
             mlpMeters_[core].start(now);
-        mshr.addWaiter(core, std::move(done));
+        merged->addWaiter(core, std::move(done));
         return;
     }
 

@@ -10,10 +10,10 @@ namespace
 {
 
 CacheConfig
-smallCache(std::uint32_t ways = 2, ReplPolicy policy = ReplPolicy::Lru)
+smallCache(std::uint32_t ways = 2)
 {
     // 4KB, 64B blocks -> 64 lines.
-    return CacheConfig{"test", 4 * 1024, ways, policy, 5};
+    return CacheConfig{"test", 4 * 1024, ways};
 }
 
 TEST(Cache, MissThenFillThenHit)
@@ -133,13 +133,9 @@ TEST(Cache, GeometryAccessors)
               cache.sizeBytes());
 }
 
-class CachePolicies : public ::testing::TestWithParam<ReplPolicy>
+TEST(Cache, FullSetNeverExceedsWays)
 {
-};
-
-TEST_P(CachePolicies, FullSetNeverExceedsWays)
-{
-    Cache cache(smallCache(4, GetParam()));
+    Cache cache(smallCache(4));
     // Hammer one set with many distinct blocks.
     const Addr stride = cache.numSets() * kBlockBytes;
     for (Addr i = 0; i < 64; ++i)
@@ -147,9 +143,9 @@ TEST_P(CachePolicies, FullSetNeverExceedsWays)
     EXPECT_LE(cache.occupancy(), 4u);
 }
 
-TEST_P(CachePolicies, WorkingSetWithinCapacityAllHits)
+TEST(Cache, WorkingSetWithinCapacityAllHits)
 {
-    Cache cache(smallCache(4, GetParam()));
+    Cache cache(smallCache(4));
     for (Addr block = 0; block < 32; ++block)
         cache.fill(blockAddress(block));
     cache.resetStats();
@@ -159,10 +155,63 @@ TEST_P(CachePolicies, WorkingSetWithinCapacityAllHits)
     EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CachePolicies,
-                         ::testing::Values(ReplPolicy::Lru,
-                                           ReplPolicy::Random,
-                                           ReplPolicy::TreePlru));
+TEST(Lru, VictimIsLeastRecentlyTouched)
+{
+    Cache cache(smallCache(4));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    for (Addr way = 0; way < 4; ++way)
+        cache.fill(way * stride);
+    EXPECT_TRUE(cache.access(0x0, false));  // Block 1 is now LRU.
+    EXPECT_EQ(cache.fill(4 * stride).blockAddr, stride);
+    EXPECT_EQ(cache.fill(5 * stride).blockAddr, 2 * stride);
+}
+
+TEST(Lru, RecencyRankOrdersWays)
+{
+    Cache cache(smallCache(4));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    for (Addr way = 0; way < 4; ++way)
+        cache.fill(way * stride);
+    // Touch order 2, 0, 3, 1: block 2 is now LRU and block 1 MRU.
+    for (Addr way : {2, 0, 3, 1})
+        EXPECT_TRUE(cache.access(way * stride, false));
+    // Each fill displaces the oldest block left from the touch order.
+    for (Addr way : {2, 0, 3, 1}) {
+        const Eviction evicted = cache.fill((8 + way) * stride);
+        EXPECT_TRUE(evicted.valid);
+        EXPECT_EQ(evicted.blockAddr, way * stride);
+    }
+}
+
+TEST(Cache, SingleWayAlwaysEvictsResident)
+{
+    Cache cache(smallCache(1));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    cache.fill(0x0);
+    for (Addr i = 1; i < 4; ++i) {
+        EXPECT_TRUE(cache.access((i - 1) * stride, false));
+        const Eviction evicted = cache.fill(i * stride);
+        EXPECT_TRUE(evicted.valid);
+        EXPECT_EQ(evicted.blockAddr, (i - 1) * stride);
+    }
+    EXPECT_EQ(cache.occupancy(), 1u);
+}
+
+TEST(Cache, InvalidatedWayRefilledBeforeEviction)
+{
+    Cache cache(smallCache(4));
+    const Addr stride = cache.numSets() * kBlockBytes;
+    for (Addr way = 0; way < 4; ++way)
+        cache.fill(way * stride);
+    // Free the MRU way; block 0 stays the set's LRU.
+    EXPECT_TRUE(cache.invalidate(3 * stride));
+    EXPECT_FALSE(cache.fill(4 * stride).valid);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    for (Addr way : {0, 1, 2, 4})
+        EXPECT_TRUE(cache.contains(way * stride));
+    // Only once the set is full again does the LRU block go.
+    EXPECT_EQ(cache.fill(5 * stride).blockAddr, 0u);
+}
 
 } // namespace
 } // namespace stms

@@ -37,6 +37,19 @@ class ProbePf : public Prefetcher
     std::string name_ = "probe";
 };
 
+/** A probe whose onPrefetchUsed hook issues one prefetch for core 1. */
+class HookIssuingPf : public ProbePf
+{
+  public:
+    void onPrefetchUsed(CoreId core, Addr block, bool partial) override
+    {
+        ProbePf::onPrefetchUsed(core, block, partial);
+        hookIssue = port_->issuePrefetch(*this, 1, 0x900000);
+    }
+
+    IssueResult hookIssue = IssueResult::NoResources;
+};
+
 struct Fixture
 {
     Fixture()
@@ -137,6 +150,34 @@ TEST(MemorySystem, DemandMergingWithInflightPrefetchIsPartial)
     EXPECT_EQ(f.memory->stats().partialMisses, 1u);
     EXPECT_EQ(f.memory->prefetcherStats(0).partial, 1u);
     ASSERT_EQ(f.pf.partials.size(), 1u);
+}
+
+TEST(MemorySystem, PartialMergeSurvivesHookThatGrowsMshrs)
+{
+    EventQueue events;
+    MemorySystemConfig config;
+    config.numCores = 2;
+    MemorySystem memory(events, config);
+    HookIssuingPf pf;
+    memory.addPrefetcher(&pf);
+    std::vector<AccessOutcome> outcomes;
+    events.schedule(0, [&]() {
+        // Fill the MSHR map's first 16 slots, so the prefetch the
+        // hook issues during the merge below makes the map grow.
+        for (Addr i = 0; i < 16; ++i)
+            memory.issuePrefetch(pf, 0, 0x100000 + i * kBlockBytes);
+        EXPECT_EQ(memory.mshrOccupancy(), 16u);
+    });
+    events.schedule(50, [&]() {
+        memory.demandAccess(0, 0x100000, false,
+                            [&](Cycle, AccessOutcome o) {
+                                outcomes.push_back(o);
+                            });
+    });
+    events.run();
+    EXPECT_EQ(pf.hookIssue, IssueResult::Issued);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0], AccessOutcome::MemPartial);
 }
 
 TEST(MemorySystem, RedundantPrefetchDropped)
