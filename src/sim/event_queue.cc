@@ -1,11 +1,19 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 
 namespace stms
 {
+
+EventQueue::EventQueue()
+{
+    heap_.reserve(kInitialCapacity);
+    slab_.reserve(kInitialCapacity);
+    freeSlots_.reserve(kInitialCapacity);
+}
 
 void
 EventQueue::scheduleAt(Cycle when, Callback fn)
@@ -14,7 +22,15 @@ EventQueue::scheduleAt(Cycle when, Callback fn)
                 "event scheduled in the past (%llu < %llu)",
                 static_cast<unsigned long long>(when),
                 static_cast<unsigned long long>(now_));
-    heap_.push_back(Event{when, nextSeq_++, std::move(fn)});
+    std::size_t slot = slab_.size();
+    if (freeSlots_.empty()) {
+        slab_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slab_[slot] = std::move(fn);
+    }
+    heap_.push_back(Key{when, nextSeq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -28,14 +44,14 @@ Cycle
 EventQueue::runUntil(Cycle limit)
 {
     while (!heap_.empty() && heap_.front().tick <= limit) {
-        // pop_heap moves the minimum element to the back, where the
-        // callback can be moved out before the vector shrinks.
         std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Event event = std::move(heap_.back());
+        const Key key = heap_.back();
         heap_.pop_back();
-        now_ = event.tick;
+        Callback fn = std::move(slab_[key.slot]);
+        freeSlots_.push_back(key.slot);
+        now_ = key.tick;
         ++executed_;
-        event.fn();
+        fn();
     }
     return now_;
 }

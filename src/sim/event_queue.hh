@@ -32,12 +32,15 @@ class EventQueue
      */
     using Callback = InplaceFunction<void(), 64>;
 
-    /** Initial heap capacity: big enough that steady-state simulation
-     *  never regrows the backing vector, small enough (~48KB) to be
-     *  irrelevant next to a System's other allocations. */
+    /** Initial capacity of the key heap, the slab and the free list:
+     *  big enough that simulation never regrows them (the trace
+     *  replays, fig7 and mem_tech_sweep keep at most 61 events
+     *  pending), small enough (112 KB: 24-byte keys, 80-byte
+     *  callbacks and 8-byte slot numbers) to be irrelevant next to a
+     *  System's other allocations. */
     static constexpr std::size_t kInitialCapacity = 1024;
 
-    EventQueue() { heap_.reserve(kInitialCapacity); }
+    EventQueue();
 
     /** Current simulated time in cycles. */
     Cycle now() const { return now_; }
@@ -63,17 +66,19 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    struct Event
+    /** What the heap orders: when an event fires, its insertion
+     *  number, and the slab slot holding its callback. */
+    struct Key
     {
         Cycle tick;
         std::uint64_t seq;
-        Callback fn;
+        std::size_t slot;
     };
 
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.tick != b.tick)
                 return a.tick > b.tick;
@@ -82,12 +87,18 @@ class EventQueue
     };
 
     /**
-     * Explicit binary heap (std::push_heap/pop_heap over a vector)
-     * rather than std::priority_queue: the vector can be reserved
-     * once instead of regrowing mid-simulation, and pop_heap lets the
-     * callback be moved out without const_cast-ing the queue's top.
+     * Explicit binary heap (std::push_heap/pop_heap over a reserved
+     * vector) of 24-byte keys: a sift step copies a key, where moving
+     * a callback would be an indirect call through its relocate
+     * thunk. Each callback sits in its slab slot from scheduleAt()
+     * until runUntil() moves it out, frees the slot and runs it. The
+     * move-out comes first because a running callback may schedule
+     * events, and a push onto a full slab moves every slot.
      */
-    std::vector<Event> heap_;
+    std::vector<Key> heap_;
+    std::vector<Callback> slab_;
+    /** Slots of events already run; reused last-freed first. */
+    std::vector<std::size_t> freeSlots_;
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
