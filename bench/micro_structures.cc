@@ -104,7 +104,7 @@ BENCHMARK(BM_CacheAccess);
 /**
  * The cache-probe fast path: repeated hits on a hot set, i.e. the
  * per-record L1 probe every simulated access pays (inlined
- * access()/findLine()/LRU touch). A regression here is a regression
+ * access(): tag scan and shift to MRU). A regression here is a regression
  * on every record of every sweep, visible without running one.
  */
 void

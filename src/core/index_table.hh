@@ -114,8 +114,9 @@ class IndexTable
      */
     void update(Addr block, HistoryPointer pointer);
 
-    /** Software-prefetch the buckets @p blocks hash to (host cache
-     *  warm-up hint; no architectural effect, no stats). */
+    /** Software-prefetch the slot-map entries of the buckets
+     *  @p blocks hash to (host cache warm-up hint; no architectural
+     *  effect, no stats). */
     void prefetchBatch(std::span<const Addr> blocks) const;
 
     /** Bucket number @p block hashes to (for bucket-buffer modeling). */

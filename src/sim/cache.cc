@@ -8,6 +8,9 @@ namespace stms
 Cache::Cache(const CacheConfig &config)
     : name_(config.name), ways_(config.ways)
 {
+    stms_assert(config.ways > 0 && config.ways <= 255,
+                "%s: %u ways outside [1, 255]", name_.c_str(),
+                config.ways);
     stms_assert(config.sizeBytes % (kBlockBytes * config.ways) == 0,
                 "%s: size %llu not divisible by ways*blockSize",
                 name_.c_str(),
@@ -15,43 +18,39 @@ Cache::Cache(const CacheConfig &config)
     sets_ = config.sizeBytes / (kBlockBytes * config.ways);
     stms_assert(isPowerOfTwo(sets_), "%s: set count %llu not a power of 2",
                 name_.c_str(), static_cast<unsigned long long>(sets_));
-    lines_.resize(sets_ * ways_);
+    tags_.reset(sets_ * ways_);
+    dirty_.reset(sets_ * ways_);
+    counts_.reset(sets_);
 }
 
 Eviction
 Cache::fill(Addr block_addr, bool dirty)
 {
     block_addr = blockAlign(block_addr);
+    const std::uint64_t set = setIndex(block_addr);
     Eviction evicted;
 
     // Refill of a block that is already present just updates state.
-    if (Line *line = findLine(block_addr)) {
-        line->dirty |= dirty;
-        line->lastUse = ++clock_;
+    const std::size_t way = findWay(set, block_addr);
+    if (way != kNpos) {
+        promote(set, way, block_addr, dirty || isDirty(set, way));
         return evicted;
     }
 
-    // The first invalid way, else the first way with the oldest stamp.
-    Line *base = &lines_[setIndex(block_addr) * ways_];
-    Line *victim = base;
-    for (Line *line = base; line != base + ways_; ++line) {
-        if (!line->valid) {
-            victim = line;
-            break;
-        }
-        if (line->lastUse < victim->lastUse)
-            victim = line;
-    }
-    if (victim->valid) {
+    // A full set gives up its last (least recently used) way; the
+    // new block then enters as MRU.
+    std::uint8_t &count = counts_[set];
+    if (count == ways_) {
         evicted.valid = true;
-        evicted.dirty = victim->dirty;
-        evicted.blockAddr = victim->tag;
+        evicted.dirty = isDirty(set, ways_ - 1);
+        evicted.blockAddr = tags_[set * ways_ + ways_ - 1];
         ++stats_.evictions;
-        if (victim->dirty)
+        if (evicted.dirty)
             ++stats_.dirtyEvictions;
+    } else {
+        ++count;
     }
-
-    *victim = Line{block_addr, ++clock_, true, dirty};
+    promote(set, count - 1u, block_addr, dirty);
     ++stats_.fills;
     return evicted;
 }
@@ -59,29 +58,39 @@ Cache::fill(Addr block_addr, bool dirty)
 bool
 Cache::invalidate(Addr block_addr)
 {
-    if (Line *line = findLine(blockAlign(block_addr))) {
-        line->valid = false;
-        line->dirty = false;
-        line->tag = kInvalidAddr;
-        ++stats_.invalidations;
-        return true;
+    block_addr = blockAlign(block_addr);
+    const std::uint64_t set = setIndex(block_addr);
+    const std::size_t way = findWay(set, block_addr);
+    if (way == kNpos)
+        return false;
+    // Close the gap: the ways behind it move up one, keeping order.
+    Addr *tags = &tags_[set * ways_];
+    std::uint8_t *dirties = &dirty_[set * ways_];
+    const std::size_t count = --counts_[set];
+    for (std::size_t w = way; w < count; ++w) {
+        tags[w] = tags[w + 1];
+        dirties[w] = dirties[w + 1];
     }
-    return false;
+    ++stats_.invalidations;
+    return true;
 }
 
 void
 Cache::markDirty(Addr block_addr)
 {
-    if (Line *line = findLine(blockAlign(block_addr)))
-        line->dirty = true;
+    block_addr = blockAlign(block_addr);
+    const std::uint64_t set = setIndex(block_addr);
+    const std::size_t way = findWay(set, block_addr);
+    if (way != kNpos)
+        dirty_[set * ways_ + way] = 1;
 }
 
 std::uint64_t
 Cache::occupancy() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines_)
-        count += line.valid ? 1 : 0;
+    for (const std::uint8_t live : counts_)
+        count += live;
     return count;
 }
 

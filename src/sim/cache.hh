@@ -7,6 +7,18 @@
  * it. This mirrors the split in trace-driven simulators where the tag
  * array is exact and timing is layered on top. Replacement is LRU, as
  * in the paper's Table 1 caches.
+ *
+ * Each set is kept MRU-first as structure-of-arrays: 8-byte block
+ * tags, a dirty byte per way, and a live-way count per set (valid
+ * ways always form a prefix). A hit or refill shifts its way to the
+ * front, a fill inserts at the front and evicts the last way only
+ * when the set is full, and an invalidation closes the gap, so the
+ * last live way is always the least recently used. A 16-way L2 probe
+ * scans 128 bytes of tags: two host cache lines.
+ *
+ * Tags and dirty bytes come from the run arena when one is installed
+ * and are never read past a set's count; only the counts are
+ * zero-initialized.
  */
 
 #ifndef STMS_SIM_CACHE_HH
@@ -14,9 +26,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/arena.hh"
+#include "common/scan.hh"
 #include "common/types.hh"
+#include "common/zeroed_buffer.hh"
 
 namespace stms
 {
@@ -71,10 +85,12 @@ class Cache
     bool
     access(Addr block_addr, bool is_write)
     {
-        if (Line *line = findLine(blockAlign(block_addr))) {
+        block_addr = blockAlign(block_addr);
+        const std::uint64_t set = setIndex(block_addr);
+        const std::size_t way = findWay(set, block_addr);
+        if (way != kNpos) {
             ++stats_.hits;
-            line->dirty |= is_write;
-            line->lastUse = ++clock_;
+            promote(set, way, block_addr, is_write || isDirty(set, way));
             return true;
         }
         ++stats_.misses;
@@ -85,12 +101,13 @@ class Cache
     bool
     contains(Addr block_addr) const
     {
-        return findLine(blockAlign(block_addr)) != nullptr;
+        block_addr = blockAlign(block_addr);
+        return findWay(setIndex(block_addr), block_addr) != kNpos;
     }
 
     /**
-     * Install a block into the set's first invalid way or, if the set
-     * is full, in place of its least recently used block.
+     * Install a block as its set's MRU way, displacing the least
+     * recently used block if the set is full.
      * @return description of the displaced block, if any.
      */
     Eviction fill(Addr block_addr, bool dirty = false);
@@ -109,53 +126,56 @@ class Cache
     std::uint64_t sizeBytes() const { return sets_ * ways_ * kBlockBytes; }
     const std::string &name() const { return name_; }
 
-    /** Count of currently valid blocks (O(size); for tests). */
+    /** Count of currently valid blocks (O(sets); for tests). */
     std::uint64_t occupancy() const;
 
   private:
-    struct Line
-    {
-        Addr tag = kInvalidAddr;
-        /** clock_ at the last access or fill. Stamps are compared only
-         *  within a set, so one clock per cache orders every set. */
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
-
     std::uint64_t
     setIndex(Addr block_addr) const
     {
         return blockNumber(block_addr) & (sets_ - 1);
     }
 
-    Line *
-    findLine(Addr block_addr)
+    /** Way of @p set holding @p block_addr, or kNpos. */
+    std::size_t
+    findWay(std::uint64_t set, Addr block_addr) const
     {
-        const std::uint64_t set = setIndex(block_addr);
-        Line *base = &lines_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            if (base[w].valid && base[w].tag == block_addr)
-                return &base[w];
-        return nullptr;
+        return findFirstEqual(&tags_[set * ways_], counts_[set],
+                              block_addr);
     }
 
-    const Line *
-    findLine(Addr block_addr) const
+    bool
+    isDirty(std::uint64_t set, std::size_t way) const
     {
-        const std::uint64_t set = setIndex(block_addr);
-        const Line *base = &lines_[set * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            if (base[w].valid && base[w].tag == block_addr)
-                return &base[w];
-        return nullptr;
+        return dirty_[set * ways_ + way] != 0;
+    }
+
+    /** Shift ways [0, @p way) of @p set back one and write
+     *  {@p block_addr, @p dirty} as the set's MRU way. */
+    void
+    promote(std::uint64_t set, std::size_t way, Addr block_addr,
+            bool dirty)
+    {
+        Addr *tags = &tags_[set * ways_];
+        std::uint8_t *dirties = &dirty_[set * ways_];
+        for (std::size_t w = way; w > 0; --w) {
+            tags[w] = tags[w - 1];
+            dirties[w] = dirties[w - 1];
+        }
+        tags[0] = block_addr;
+        dirties[0] = dirty;
     }
 
     std::string name_;
     std::uint64_t sets_;
     std::uint32_t ways_;
-    std::vector<Line> lines_;
-    std::uint64_t clock_ = 0;
+    /** tags_[set * ways_ + way], MRU-first; uninitialized beyond each
+     *  set's count. */
+    ArenaBuffer<Addr> tags_;
+    /** Dirty byte parallel to tags_. */
+    ArenaBuffer<std::uint8_t> dirty_;
+    /** Live ways per set; zero = empty set. */
+    ZeroedBuffer<std::uint8_t> counts_;
     CacheStats stats_;
 };
 

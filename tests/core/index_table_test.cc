@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hh"
+#include "common/rng.hh"
 #include "core/index_table.hh"
 
 namespace stms
@@ -291,6 +296,149 @@ TEST(IndexTable, PrefetchBatchAcceptsEmptyInput)
         EXPECT_TRUE(table.stats() == IndexTableStats{});
         EXPECT_EQ(table.occupancy(), 0u);
     }
+}
+
+/**
+ * Reference model of the bounded table: one std::deque per bucket,
+ * MRU at the front. A hit or refresh moves its pair to the front; an
+ * insert into a full bucket drops the back.
+ */
+class DequeLruIndex
+{
+  public:
+    DequeLruIndex(std::uint64_t buckets, std::uint32_t entries)
+        : entries_(entries), buckets_(buckets)
+    {}
+
+    std::optional<HistoryPointer>
+    lookup(Addr block)
+    {
+        ++stats.lookups;
+        auto &bucket = bucketFor(block);
+        const auto it = find(bucket, blockNumber(block));
+        if (it == bucket.end())
+            return std::nullopt;
+        ++stats.lookupHits;
+        const auto pair = *it;
+        bucket.erase(it);
+        bucket.push_front(pair);
+        return HistoryPointer::unpack(pair.second);
+    }
+
+    void
+    update(Addr block, HistoryPointer pointer)
+    {
+        ++stats.updates;
+        auto &bucket = bucketFor(block);
+        const Addr key = blockNumber(block);
+        const auto it = find(bucket, key);
+        if (it != bucket.end()) {
+            bucket.erase(it);
+        } else if (bucket.size() < entries_) {
+            ++stats.inserts;
+        } else {
+            bucket.pop_back();
+            ++stats.replacements;
+        }
+        bucket.push_front({key, pointer.packed()});
+    }
+
+    std::uint64_t
+    occupancy() const
+    {
+        std::uint64_t total = 0;
+        for (const auto &bucket : buckets_)
+            total += bucket.size();
+        return total;
+    }
+
+    IndexTableStats stats;
+
+  private:
+    using Bucket = std::deque<std::pair<Addr, std::uint64_t>>;
+
+    Bucket &
+    bucketFor(Addr block)
+    {
+        return buckets_[hashToBucket(blockNumber(block), buckets_.size())];
+    }
+
+    static Bucket::iterator
+    find(Bucket &bucket, Addr key)
+    {
+        return std::find_if(bucket.begin(), bucket.end(),
+                            [key](const auto &pair) {
+                                return pair.first == key;
+                            });
+    }
+
+    std::uint32_t entries_;
+    std::vector<Bucket> buckets_;
+};
+
+TEST(IndexTable, BoundedModeMatchesDequeLruReference)
+{
+    constexpr std::uint64_t kBuckets = 4;
+    for (const std::uint32_t entries : {1u, 3u, 12u}) {
+        SCOPED_TRACE(::testing::Message() << entries << " entries");
+        IndexTable table(kBuckets * kBlockBytes, entries);
+        ASSERT_EQ(table.numBuckets(), kBuckets);
+        DequeLruIndex reference(kBuckets, entries);
+        Rng rng(entries);
+        // Twice the table's capacity in distinct blocks: keys collide
+        // in every bucket and LRU displacement is constant.
+        const std::uint64_t pool = 2 * kBuckets * entries;
+        for (std::uint64_t op = 0; op < 20000; ++op) {
+            const Addr block =
+                blockAddress(rng.below(pool)) + rng.below(kBlockBytes);
+            if (rng.chance(0.5)) {
+                const auto got = table.lookup(block);
+                const auto want = reference.lookup(block);
+                ASSERT_EQ(got.has_value(), want.has_value()) << op;
+                if (got) {
+                    ASSERT_EQ(got->core, want->core) << op;
+                    ASSERT_EQ(got->seq, want->seq) << op;
+                }
+            } else {
+                const HistoryPointer pointer{
+                    static_cast<CoreId>(rng.below(4)), op};
+                table.update(block, pointer);
+                reference.update(block, pointer);
+            }
+            ASSERT_TRUE(table.stats() == reference.stats) << op;
+            ASSERT_EQ(table.occupancy(), reference.occupancy()) << op;
+            ASSERT_EQ(table.occupancy(), table.occupancyScan()) << op;
+        }
+        EXPECT_GT(table.stats().replacements, 0u);
+        EXPECT_GT(table.stats().lookupHits, 0u);
+    }
+}
+
+TEST(BucketStore, StorageSlotsAreClaimedByFirstUpdateOnly)
+{
+    detail::BucketStore store;
+    store.reset(1024, 12);
+    // Lookups of never-written buckets miss and claim nothing.
+    for (std::uint64_t bucket = 0; bucket < 1024; ++bucket)
+        EXPECT_FALSE(store.lookup(bucket, bucket).has_value());
+    EXPECT_EQ(store.slotsUsed(), 0u);
+    EXPECT_EQ(store.occupancyScan(), 0u);
+
+    // 500 updates spread over k = 7 distinct buckets, 40 keys apiece
+    // (so buckets also overflow and displace): exactly k slots.
+    const std::uint64_t buckets[] = {3, 1023, 0, 512, 64, 65, 700};
+    for (std::uint64_t i = 0; i < 500; ++i)
+        store.update(buckets[i % 7], i % 280, i);
+    EXPECT_EQ(store.slotsUsed(), 7u);
+    EXPECT_EQ(store.occupancyScan(), 7u * 12u);
+    // Each bucket holds its own most recent keys, in its own slot.
+    for (std::uint64_t i = 500 - 7 * 12; i < 500; ++i) {
+        const auto hit = store.lookup(buckets[i % 7], i % 280);
+        ASSERT_TRUE(hit.has_value()) << i;
+        EXPECT_EQ(*hit, i);
+    }
+    EXPECT_FALSE(store.lookup(5, 3).has_value());
+    EXPECT_EQ(store.slotsUsed(), 7u);
 }
 
 } // namespace

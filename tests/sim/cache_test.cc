@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/cache.hh"
 
 namespace stms
@@ -211,6 +214,190 @@ TEST(Cache, InvalidatedWayRefilledBeforeEviction)
         EXPECT_TRUE(cache.contains(way * stride));
     // Only once the set is full again does the LRU block go.
     EXPECT_EQ(cache.fill(5 * stride).blockAddr, 0u);
+}
+
+/**
+ * Reference model: the stamp-LRU tag array the MRU-first layout
+ * replaced. Every way carries the stamp of its last access or fill; a
+ * fill takes the set's first invalid way, else the way with the
+ * smallest stamp.
+ */
+class StampLruCache
+{
+  public:
+    StampLruCache(std::uint64_t sets, std::uint32_t ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {}
+
+    bool
+    access(Addr addr, bool is_write)
+    {
+        if (Line *line = find(blockAlign(addr))) {
+            ++stats.hits;
+            line->dirty |= is_write;
+            line->lastUse = ++clock_;
+            return true;
+        }
+        ++stats.misses;
+        return false;
+    }
+
+    bool contains(Addr addr) { return find(blockAlign(addr)) != nullptr; }
+
+    Eviction
+    fill(Addr addr, bool dirty)
+    {
+        const Addr block = blockAlign(addr);
+        Eviction evicted;
+        if (Line *line = find(block)) {
+            line->dirty |= dirty;
+            line->lastUse = ++clock_;
+            return evicted;
+        }
+        Line *base = &lines_[setOf(block) * ways_];
+        Line *victim = base;
+        for (Line *line = base; line != base + ways_; ++line) {
+            if (!line->valid) {
+                victim = line;
+                break;
+            }
+            if (line->lastUse < victim->lastUse)
+                victim = line;
+        }
+        if (victim->valid) {
+            evicted = Eviction{true, victim->dirty, victim->tag};
+            ++stats.evictions;
+            if (victim->dirty)
+                ++stats.dirtyEvictions;
+        }
+        *victim = Line{block, ++clock_, true, dirty};
+        ++stats.fills;
+        return evicted;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        if (Line *line = find(blockAlign(addr))) {
+            *line = Line{};
+            ++stats.invalidations;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    markDirty(Addr addr)
+    {
+        if (Line *line = find(blockAlign(addr)))
+            line->dirty = true;
+    }
+
+    std::uint64_t
+    occupancy() const
+    {
+        std::uint64_t count = 0;
+        for (const Line &line : lines_)
+            count += line.valid ? 1 : 0;
+        return count;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        Addr tag = kInvalidAddr;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::uint64_t setOf(Addr block) const
+    {
+        return blockNumber(block) & (sets_ - 1);
+    }
+
+    Line *
+    find(Addr block)
+    {
+        Line *base = &lines_[setOf(block) * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].tag == block)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+bool
+sameStats(const CacheStats &lhs, const CacheStats &rhs)
+{
+    return lhs.hits == rhs.hits && lhs.misses == rhs.misses &&
+           lhs.fills == rhs.fills && lhs.evictions == rhs.evictions &&
+           lhs.dirtyEvictions == rhs.dirtyEvictions &&
+           lhs.invalidations == rhs.invalidations;
+}
+
+TEST(Cache, MatchesStampLruReferenceOnRandomOps)
+{
+    constexpr std::uint64_t kSets = 4;
+    for (const std::uint32_t ways : {1u, 2u, 4u, 16u}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ways << "-way, seed " << seed);
+            Cache cache(CacheConfig{"diff", kSets * ways * kBlockBytes,
+                                    ways});
+            StampLruCache reference(kSets, ways);
+            Rng rng(seed);
+            // Three blocks per way of capacity keep every set under
+            // replacement pressure; offsets exercise alignment.
+            const std::uint64_t pool = 3 * kSets * ways;
+            for (int op = 0; op < 20000; ++op) {
+                const Addr addr =
+                    blockAddress(rng.below(pool)) + rng.below(kBlockBytes);
+                const bool flag = rng.chance(0.3);
+                switch (rng.below(5)) {
+                case 0:
+                    ASSERT_EQ(cache.access(addr, flag),
+                              reference.access(addr, flag)) << op;
+                    break;
+                case 1: {
+                    const Eviction got = cache.fill(addr, flag);
+                    const Eviction want = reference.fill(addr, flag);
+                    ASSERT_EQ(got.valid, want.valid) << op;
+                    ASSERT_EQ(got.dirty, want.dirty) << op;
+                    ASSERT_EQ(got.blockAddr, want.blockAddr) << op;
+                    break;
+                }
+                case 2:
+                    cache.markDirty(addr);
+                    reference.markDirty(addr);
+                    break;
+                case 3:
+                    // Rarer than fills, so sets mostly stay full.
+                    if (rng.chance(0.3)) {
+                        ASSERT_EQ(cache.invalidate(addr),
+                                  reference.invalidate(addr)) << op;
+                    }
+                    break;
+                default:
+                    ASSERT_EQ(cache.contains(addr),
+                              reference.contains(addr)) << op;
+                    break;
+                }
+                ASSERT_TRUE(sameStats(cache.stats(), reference.stats))
+                    << op;
+                ASSERT_EQ(cache.occupancy(), reference.occupancy()) << op;
+            }
+            EXPECT_GT(cache.stats().evictions, 0u);
+            EXPECT_GT(cache.stats().dirtyEvictions, 0u);
+        }
+    }
 }
 
 } // namespace

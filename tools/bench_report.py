@@ -49,7 +49,7 @@ Options:
                          mostly cancel
   --telemetry-reps N     repetitions per arm of the telemetry gate
                          (default 5)
-  --out PATH             trajectory file (default BENCH_8.json next
+  --out PATH             trajectory file (default BENCH_10.json next
                          to this repo's root)
   --no-write             measure and print, do not touch the artifact
 """
