@@ -107,12 +107,6 @@ Options::keys() const
     return result;
 }
 
-std::vector<std::pair<std::string, std::string>>
-Options::items() const
-{
-    return {values_.begin(), values_.end()};
-}
-
 std::uint64_t
 parseSize(const std::string &text)
 {
@@ -131,7 +125,12 @@ parseSize(const std::string &text)
             stms_fatal("bad size suffix in '%s'", text.c_str());
         }
     }
-    return static_cast<std::uint64_t>(value * static_cast<double>(scale));
+    // Converting a negative, NaN or out-of-range double to uint64_t
+    // is undefined, so those values stop here.
+    const double bytes = value * static_cast<double>(scale);
+    if (!(bytes >= 0.0 && bytes < 0x1p64))
+        stms_fatal("size '%s' is out of range [0, 2^64)", text.c_str());
+    return static_cast<std::uint64_t>(bytes);
 }
 
 std::string

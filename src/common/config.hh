@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace stms
@@ -48,15 +47,15 @@ class Options
     /** All keys, sorted; handy for help/diagnostic output. */
     std::vector<std::string> keys() const;
 
-    /** All key/value pairs, key-sorted (the result store fingerprints
-     *  and persists an experiment's options in this shape). */
-    std::vector<std::pair<std::string, std::string>> items() const;
-
   private:
     std::map<std::string, std::string> values_;
 };
 
-/** Parse a size string like "64M", "8K", "512" into bytes. */
+/**
+ * Parse a size string like "64M", "8K", "512" into bytes. A
+ * negative, non-finite or >= 2^64 value (after the suffix scale) is
+ * fatal (exit 1), as is an unknown suffix.
+ */
 std::uint64_t parseSize(const std::string &text);
 
 /** Render a byte count as a human-readable string ("64.0MB"). */

@@ -42,10 +42,11 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
 /**
  * 64-bit FNV-1a over a byte range. Used where a *stable* hash of
- * serialized text matters — the result store's configuration
- * fingerprints are FNV-1a values persisted to disk and compared
- * across builds and machines, so this function must never change.
- * Chain calls by passing the previous result as @p seed.
+ * serialized output matters — the model digests (perf_suite's
+ * model_digest, the ModelDigest tests, the sweep benchmark's check)
+ * are FNV-1a values pinned across builds and machines, so this
+ * function must never change. Chain calls by passing the previous
+ * result as @p seed.
  */
 constexpr std::uint64_t
 fnv1a64(const char *data, std::size_t size,

@@ -30,7 +30,7 @@ enum class LogLevel : int
 {
     Error = 0,  ///< Only errors (panic/fatal always print).
     Warn = 1,   ///< + suspicious but survivable conditions (default).
-    Info = 2,   ///< + normal operating status (store/shard summaries).
+    Info = 2,   ///< + normal operating status (e.g. trace written).
     Debug = 3,  ///< + per-run chatter (the old --verbose prints).
 };
 
@@ -70,8 +70,8 @@ void debugImpl(const std::string &msg);
 
 /**
  * Serialized raw stderr write (no level prefix, no gating): the
- * escape hatch for preformatted user-facing status such as the
- * results-CLI listings, routed through the log sink so it still
+ * escape hatch for preformatted user-facing text such as the CLI's
+ * usage and argument errors, routed through the log sink so it still
  * cooperates with the sticky progress line.
  */
 void logRaw(const std::string &text);

@@ -6,7 +6,6 @@
 
 #include "common/log.hh"
 #include "driver/registry.hh"
-#include "driver/results_cli.hh"
 #include "driver/runner.hh"
 #include "results/store.hh"
 #include "telemetry/sampler.hh"
@@ -24,9 +23,7 @@ const char kUsage[] =
     "              [--trace-cache-mb N]\n"
     "              [--mem-backend SPEC]\n"
     "              [--trace PATH[,format=...]]...\n"
-    "              [--json PATH|-] [--no-timing] [--store DIR]\n"
-    "              [--rerun] [--shard I/N] [--results CMD]\n"
-    "              [--baseline PATH] [--csv] [--verbose]\n"
+    "              [--json PATH|-] [--no-timing] [--csv] [--verbose]\n"
     "              [--trace-out FILE] [--sample-every N]\n"
     "              [--log-level LEVEL] [--progress|--no-progress]\n"
     "              [key=value]...\n"
@@ -62,10 +59,8 @@ const char kUsage[] =
     "NAME[,key=val...] with NAME\n"
     "                    in fixed|queued|dram (e.g. 'queued,channels=4',\n"
     "                    'dram,policy=closed'); the default 'fixed' is\n"
-    "                    canonicalized away so existing fingerprints "
-    "stay\n"
-    "                    stable; other specs join the result-store\n"
-    "                    fingerprint (experiments that sweep backends\n"
+    "                    canonicalized away, so it runs byte-identically\n"
+    "                    to no flag (experiments that sweep backends\n"
     "                    themselves pin each run and ignore the flag)\n"
     "  --trace SPEC      ingest an on-disk trace: "
     "PATH[,format=native|champsim]\n"
@@ -79,35 +74,13 @@ const char kUsage[] =
     "writes are\n"
     "                    atomic (temp file + rename); includes a "
     "'timing' key\n"
-    "                    (wall clock + per-run stage timings) that "
-    "never joins\n"
-    "                    store fingerprints or snapshot diffs\n"
+    "                    (wall clock + per-run stage timings) kept "
+    "apart from\n"
+    "                    the model output (metrics and tables)\n"
     "  --no-timing       omit the timing key (timing is wall-clock "
     "noise;\n"
     "                    determinism gates byte-compare timing-free "
     "reports)\n"
-    "  --store DIR       archive completed runs in the result store "
-    "at DIR:\n"
-    "                    exact-fingerprint duplicates are skipped and\n"
-    "                    interrupted sweeps resume (docs/RESULTS.md)\n"
-    "  --rerun           execute and append even when the store "
-    "already\n"
-    "                    holds the configuration's fingerprint\n"
-    "  --shard I/N       execute only shard I of N (1-based; "
-    "partitioned\n"
-    "                    by run fingerprint; requires --store; "
-    "suppresses\n"
-    "                    the report — merge stores, then rerun "
-    "without\n"
-    "                    --shard to fold the archived runs)\n"
-    "  --results CMD     store maintenance instead of simulation:\n"
-    "                    list | show FP | diff [BEFORE AFTER] | gc\n"
-    "                    (diff defaults to --baseline vs --store;\n"
-    "                    tolerances: abs_tol=, rel_tol=, "
-    "tol.<metric>=REL)\n"
-    "  --baseline PATH   the 'before' snapshot for --results diff "
-    "(a store\n"
-    "                    directory or a records .jsonl file)\n"
     "  --csv             print tables as CSV instead of aligned text\n"
     "  --verbose         shorthand for --log-level debug\n"
     "  --trace-out FILE  write a Perfetto/chrome://tracing JSON trace "
@@ -120,10 +93,10 @@ const char kUsage[] =
     "  --sample-every N  snapshot simulator counters every N accessed\n"
     "                    cycles into per-run time series under the "
     "report's\n"
-    "                    timing key (0 = off; excluded from "
-    "fingerprints\n"
-    "                    and snapshot diffs; render with\n"
-    "                    tools/telemetry_report.py)\n"
+    "                    timing key (0 = off; never part of the "
+    "model\n"
+    "                    output; render with "
+    "tools/telemetry_report.py)\n"
     "  --log-level LEVEL stderr verbosity: error|warn|info|debug\n"
     "                    (default warn)\n"
     "  --progress        live sweep progress line on stderr (default: "
@@ -148,7 +121,7 @@ parseUint(const std::string &text, std::uint64_t &out)
  * Apply --threads: a strict non-negative integer. 0 is the auto
  * spelling (resolve std::thread::hardware_concurrency() at run
  * time); the resolved count is reported in the timing metadata and
- * never joins fingerprints, so stored results stay
+ * never joins the experiment options, so model output stays
  * thread-count-independent.
  */
 bool
@@ -190,7 +163,7 @@ applyPipelineChunk(const std::string &value, DriverArgs &args,
  * Apply --sample-every: counter-snapshot epoch in accessed cycles.
  * 0 is the explicit "off" spelling. The value steers observation
  * only — it flows through RunnerConfig (never Options), so it cannot
- * join result-store fingerprints or change model output.
+ * change model output.
  */
 bool
 applySampleEvery(const std::string &value, DriverArgs &args,
@@ -244,29 +217,63 @@ appendTraceSpec(Options &options, const std::string &spec)
                 existing.empty() ? spec : existing + ";" + spec);
 }
 
+/** An option that no longer exists, and the message it fails with. */
+struct RemovedOption
+{
+    std::string_view name;
+    const char *message;
+};
+
+constexpr RemovedOption kRemovedOptions[] = {
+    {"index-shards",
+     "--index-shards was removed: index-table sharding never changed "
+     "results; drop the option"},
+    {"store",
+     "--store was removed: there is no result store; write the report "
+     "with --json PATH"},
+    {"rerun",
+     "--rerun was removed: every invocation simulates every run; drop "
+     "the option"},
+    {"shard",
+     "--shard was removed: a sweep always runs its whole plan; use "
+     "--threads N to spread it over cores"},
+    {"results",
+     "--results was removed: there is no result store to list, show, "
+     "diff or gc; compare --json reports (tools/golden_reports.py)"},
+    {"baseline",
+     "--baseline was removed: tools/golden_reports.py compares reports "
+     "against the committed goldens in tests/data/golden"},
+};
+
 /**
- * True for every spelling of the removed --index-shards option:
- * `--index-shards N`, `--index-shards=N` and bare `index-shards=N`.
- * Rejecting them keeps an old script from slipping the key through
- * the key=value passthrough into every run's result-store
- * fingerprint, which would archive unchanged results as new records.
+ * The removed option @p token spells, or nullptr. Every spelling
+ * counts: `--name VALUE`, `--name=VALUE`, `--name` and bare
+ * `name=VALUE`. Without this check the `=` spellings would slip
+ * through the key=value passthrough into the experiment options and
+ * run as if the option had been honored.
  */
-bool
-isRemovedIndexShards(const std::string &token)
+const RemovedOption *
+findRemovedOption(const std::string &token)
 {
     std::size_t start = 0;
     while (start < token.size() && start < 2 && token[start] == '-')
         ++start;
     const std::string_view name = std::string_view(token).substr(start);
-    return name == "index-shards" || name.starts_with("index-shards=");
+    for (const RemovedOption &removed : kRemovedOptions) {
+        if (name.starts_with(removed.name) &&
+            (name.size() == removed.name.size() ||
+             name[removed.name.size()] == '='))
+            return &removed;
+    }
+    return nullptr;
 }
 
 /**
  * Apply --mem-backend: validate + canonicalize the spec, then flow it
  * to the experiments as the "mem-backend" option. The plain fixed
- * backend IS the legacy memory model, so it is canonicalized away —
- * `--mem-backend fixed` fingerprints (and outputs) byte-identically
- * to not passing the flag, keeping every archived record reachable.
+ * backend IS the default memory model, so it is canonicalized away —
+ * `--mem-backend fixed` leaves the options (and the output) exactly
+ * as not passing the flag does.
  */
 bool
 applyMemBackend(const std::string &value, DriverArgs &args,
@@ -280,33 +287,6 @@ applyMemBackend(const std::string &value, DriverArgs &args,
     return true;
 }
 
-/**
- * Parse "I/N" (1 <= I <= N) into the shard fields. Strict: both
- * numbers must consume every character ("2x/4" or "1/4junk" silently
- * running the wrong partition would break the disjoint+complete
- * guarantee a multi-machine sweep relies on).
- */
-bool
-parseShard(const std::string &text, DriverArgs &args,
-           std::string &error)
-{
-    const char *cursor = text.c_str();
-    char *end = nullptr;
-    const long index = std::strtol(cursor, &end, 10);
-    if (end != cursor && *end == '/') {
-        cursor = end + 1;
-        const long count = std::strtol(cursor, &end, 10);
-        if (end != cursor && *end == '\0' && index >= 1 &&
-            count >= 1 && index <= count) {
-            args.shardIndex = static_cast<std::uint32_t>(index);
-            args.shardCount = static_cast<std::uint32_t>(count);
-            return true;
-        }
-    }
-    error = "--shard needs I/N with 1 <= I <= N";
-    return false;
-}
-
 /** Fold runner ExecStats into the report's timing metadata. */
 ReportTiming
 makeReportTiming(const ExecStats &stats)
@@ -316,7 +296,6 @@ makeReportTiming(const ExecStats &stats)
     timing.wallSeconds = stats.wallSeconds;
     timing.acquireSeconds = stats.acquireSeconds;
     timing.simulateSeconds = stats.simulateSeconds;
-    timing.encodeSeconds = stats.encodeSeconds;
     timing.threads = stats.threadsResolved;
     timing.pipelined = stats.pipelined;
     timing.records = stats.recordsProcessed;
@@ -438,16 +417,6 @@ runExperiments(const DriverArgs &args)
         selected.push_back(experiment);
     }
 
-    std::unique_ptr<results::ResultStore> store;
-    if (!args.storePath.empty()) {
-        std::string error;
-        store = results::ResultStore::open(args.storePath, error);
-        if (!store) {
-            logRaw("--store: " + error + "\n");
-            return 1;
-        }
-    }
-
     if (args.traceCacheMb != DriverArgs::kCacheUnset) {
         globalTraceCache().setCapacity(args.traceCacheMb *
                                        (1ULL << 20));
@@ -461,26 +430,7 @@ runExperiments(const DriverArgs &args)
     runner_config.pipelineChunkRecords = args.pipelineChunk;
     runner_config.sampleEvery = args.sampleEvery;
     runner_config.progress = args.progress;
-    runner_config.store = store.get();
-    runner_config.rerun = args.rerun;
-    runner_config.shardIndex = args.shardIndex;
-    runner_config.shardCount = args.shardCount;
     ExperimentRunner runner(globalTraceCache(), runner_config);
-
-    // Shard mode archives runs without reporting: report() needs the
-    // whole plan, and this invocation deliberately executes a slice.
-    if (args.shardCount > 0) {
-        for (const Experiment *experiment : selected) {
-            ExecStats stats;
-            runner.execute(*experiment, args.options, &stats);
-            stms_inform("[%s] shard %u/%u: %zu of %zu runs "
-                        "(%zu resumed, %zu other-shard)",
-                        experiment->name().c_str(), args.shardIndex,
-                        args.shardCount, stats.executed,
-                        stats.planned, stats.resumed, stats.sharded);
-        }
-        return trace_sink.finish() ? 0 : 1;
-    }
 
     // With --json -, stdout carries the JSON payload alone; the
     // human rendering would interleave and break json.load().
@@ -493,24 +443,6 @@ runExperiments(const DriverArgs &args)
         Report report = runner.run(experiment, args.options, &stats);
         if (args.timing)
             report.setTiming(makeReportTiming(stats));
-        if (store) {
-            stms_inform("[%s] store: %zu of %zu runs resumed, %zu "
-                        "executed",
-                        experiment.name().c_str(), stats.resumed,
-                        stats.planned, stats.executed);
-            results::ResultRecord record = makeExperimentRecord(
-                experiment, args.options, report);
-            if (store->append(record, args.rerun)) {
-                stms_inform("[%s] store: recorded %s",
-                            experiment.name().c_str(),
-                            record.fingerprint.hex().c_str());
-            } else {
-                stms_inform("[%s] store: %s already recorded "
-                            "(--rerun to append again)",
-                            experiment.name().c_str(),
-                            record.fingerprint.hex().c_str());
-            }
-        }
         if (!json_on_stdout) {
             if (i > 0)
                 std::printf("\n");
@@ -567,9 +499,8 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
 {
     for (int i = 1; i < argc; ++i) {
         const std::string token = argv[i];
-        if (isRemovedIndexShards(token)) {
-            error = "--index-shards was removed: index-table sharding "
-                    "never changed results; drop the option";
+        if (const RemovedOption *removed = findRemovedOption(token)) {
+            error = removed->message;
             return false;
         }
         auto nextValue = [&](const char *flag) -> const char * {
@@ -622,23 +553,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
                     appendTraceSpec(args.options, value);
                     continue;
                 }
-                if (key == "store") {
-                    args.storePath = value;
-                    continue;
-                }
-                if (key == "baseline") {
-                    args.baselinePath = value;
-                    continue;
-                }
-                if (key == "shard") {
-                    if (!parseShard(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "results") {
-                    args.resultsCmd = value;
-                    continue;
-                }
                 if (key == "trace-out") {
                     args.traceOutPath = value;
                     continue;
@@ -658,9 +572,8 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
                 // the same silent fallthrough this block prevents.
                 if (key == "list" || key == "csv" || key == "help" ||
                     key == "h" || key == "verbose" || key == "v" ||
-                    key == "rerun" || key == "pipeline" ||
-                    key == "no-timing" || key == "progress" ||
-                    key == "no-progress") {
+                    key == "pipeline" || key == "no-timing" ||
+                    key == "progress" || key == "no-progress") {
                     error = "--" + key + " does not take a value";
                     return false;
                 }
@@ -675,8 +588,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             args.csv = true;
         } else if (token == "--verbose" || token == "-v") {
             args.verbose = true;
-        } else if (token == "--rerun") {
-            args.rerun = true;
         } else if (token == "--pipeline") {
             args.pipeline = true;
         } else if (token == "--pipeline-chunk") {
@@ -741,45 +652,12 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             if (!value)
                 return false;
             appendTraceSpec(args.options, value);
-        } else if (token == "--store") {
-            const char *value = nextValue("--store");
-            if (!value)
-                return false;
-            args.storePath = value;
-        } else if (token == "--baseline") {
-            const char *value = nextValue("--baseline");
-            if (!value)
-                return false;
-            args.baselinePath = value;
-        } else if (token == "--shard") {
-            const char *value = nextValue("--shard");
-            if (!value)
-                return false;
-            if (!parseShard(value, args, error))
-                return false;
-        } else if (token == "--results") {
-            const char *value = nextValue("--results");
-            if (!value)
-                return false;
-            args.resultsCmd = value;
         } else if (args.options.parseToken(token)) {
             // key=value (or --key=value) passthrough.
-        } else if (!args.resultsCmd.empty() && !token.empty() &&
-                   token[0] != '-') {
-            // Bare operands belong to the --results subcommand
-            // (snapshot paths for diff, a fingerprint for show).
-            args.resultsArgs.push_back(token);
         } else {
             error = "unrecognized argument '" + token + "'";
             return false;
         }
-    }
-
-    if (args.shardCount > 0 && args.storePath.empty() &&
-        args.resultsCmd.empty()) {
-        error = "--shard requires --store (sharded runs exist only "
-                "as store records)";
-        return false;
     }
     return true;
 }
@@ -802,8 +680,6 @@ driverMain(int argc, char **argv)
         printList(ExperimentRegistry::global());
         return 0;
     }
-    if (!args.resultsCmd.empty())
-        return runResultsMode(args);
     if (args.experiments.empty()) {
         logRaw(std::string("no experiment selected\n\n") + kUsage);
         printList(ExperimentRegistry::global());

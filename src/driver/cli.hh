@@ -57,8 +57,8 @@ struct DriverArgs
     bool verbose = false;
 
     // Telemetry (docs/OBSERVABILITY.md). None of these can perturb
-    // model output or fingerprints: traces/samples/progress are
-    // observations of the execution, reported out of band.
+    // model output: traces/samples/progress are observations of the
+    // execution, reported out of band.
     std::string traceOutPath;      ///< --trace-out FILE; empty = off.
     std::uint64_t sampleEvery = 0; ///< --sample-every N; 0 = off.
     /** --log-level parsed; kLogUnset = default (warn, or debug
@@ -67,19 +67,6 @@ struct DriverArgs
     int logLevel = kLogUnset;
     /** --progress / --no-progress (Auto = TTY detection). */
     telemetry::ProgressMode progress = telemetry::ProgressMode::Auto;
-
-    // Result-store integration (see docs/RESULTS.md).
-    std::string storePath;     ///< --store DIR; empty = no store.
-    std::string baselinePath;  ///< --baseline PATH (results diff).
-    bool rerun = false;        ///< --rerun: force duplicate appends.
-    /** --shard i/n (1-based); shardCount == 0 = no sharding. */
-    std::uint32_t shardIndex = 0;
-    std::uint32_t shardCount = 0;
-    /** --results subcommand ("list", "show", "diff", "gc"). */
-    std::string resultsCmd;
-    /** Bare operands of the --results subcommand (e.g. snapshot
-     *  paths for diff, a fingerprint prefix for show). */
-    std::vector<std::string> resultsArgs;
 
     Options options;       ///< key=value passthrough.
 };

@@ -83,16 +83,6 @@ class Experiment
     /** One-line summary for --list. */
     virtual const std::string &description() const = 0;
 
-    /**
-     * Version of this experiment's metric schema, folded into every
-     * result-store fingerprint. Bump it when the meaning, naming, or
-     * normalization of reported metrics changes: old store records
-     * and baselines are then deliberately orphaned (they show up as
-     * added/removed in a diff) instead of being compared
-     * apples-to-oranges against the new scheme.
-     */
-    virtual int schemaVersion() const { return 1; }
-
     /** The simulation points this experiment needs. */
     virtual std::vector<RunSpec> plan(const Options &options) const = 0;
 

@@ -177,8 +177,7 @@ class PerfSuite final : public ExperimentBase
 
         // Timing metrics (wall-clock noise; excluded from gates).
         Table table({"schedule", "threads", "records/s", "wall s",
-                     "acquire s", "simulate s", "encode s",
-                     "peak RSS MB"});
+                     "acquire s", "simulate s", "peak RSS MB"});
         auto addMode = [&](const char *mode, const ModeResult &r) {
             const ExecStats &s = r.stats;
             const std::string prefix = mode;
@@ -187,7 +186,6 @@ class PerfSuite final : public ExperimentBase
             out.addMetric(prefix + ".wall_s", s.wallSeconds);
             out.addMetric(prefix + ".acquire_s", s.acquireSeconds);
             out.addMetric(prefix + ".simulate_s", s.simulateSeconds);
-            out.addMetric(prefix + ".encode_s", s.encodeSeconds);
             out.addMetric(prefix + ".peak_rss_kb",
                           static_cast<double>(r.peakRssKb));
             table.addRow(
@@ -196,7 +194,6 @@ class PerfSuite final : public ExperimentBase
                  Table::num(s.wallSeconds),
                  Table::num(s.acquireSeconds),
                  Table::num(s.simulateSeconds),
-                 Table::num(s.encodeSeconds),
                  Table::num(static_cast<double>(r.peakRssKb) /
                             1024.0)});
         };

@@ -88,9 +88,7 @@ Report::toJson() const
         out += "    \"stages\": {\"acquire_s\": " +
                jsonNumber(timing_.acquireSeconds) +
                ", \"simulate_s\": " +
-               jsonNumber(timing_.simulateSeconds) +
-               ", \"encode_s\": " +
-               jsonNumber(timing_.encodeSeconds) + "},\n";
+               jsonNumber(timing_.simulateSeconds) + "},\n";
         out += "    \"runs\": [";
         for (std::size_t r = 0; r < timing_.runs.size(); ++r) {
             const ReportRunTiming &run = timing_.runs[r];
@@ -99,9 +97,7 @@ Report::toJson() const
                    "\", \"acquire_s\": " +
                    jsonNumber(run.acquireSeconds) +
                    ", \"simulate_s\": " +
-                   jsonNumber(run.simulateSeconds) +
-                   ", \"encode_s\": " +
-                   jsonNumber(run.encodeSeconds) + ", \"wall_s\": " +
+                   jsonNumber(run.simulateSeconds) + ", \"wall_s\": " +
                    jsonNumber(run.wallSeconds) +
                    ", \"peak_resident_chunks\": " +
                    std::to_string(run.peakResidentChunks);
@@ -158,23 +154,6 @@ Report::toJson() const
     out += tables_.empty() ? "]\n" : "\n  ]\n";
     out += "}\n";
     return out;
-}
-
-results::ResultRecord
-Report::toResultRecord() const
-{
-    results::ResultRecord record;
-    record.kind = results::kKindExperiment;
-    record.experiment = experiment_;
-    record.scalars = metrics_;
-    for (const ReportTable &entry : tables_) {
-        results::Series series;
-        series.title = entry.title;
-        series.columns = entry.table.headers();
-        series.rows = entry.table.rows();
-        record.series.push_back(std::move(series));
-    }
-    return record;
 }
 
 } // namespace stms::driver

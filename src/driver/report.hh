@@ -18,16 +18,15 @@
 #include <vector>
 
 #include "results/json.hh"
-#include "results/record.hh"
 #include "stats/table.hh"
 #include "telemetry/sampler.hh"
 
 namespace stms::driver
 {
 
-// The JSON writing helpers moved down into the results layer (the
-// store shares them); the driver spellings remain the canonical ones
-// for report sinks and tests.
+// The JSON writing helpers live in the results layer (trace export
+// and the sweep benchmark share them); the driver spellings remain
+// the canonical ones for report sinks and tests.
 using results::jsonEscape;
 using results::jsonNumber;
 
@@ -46,7 +45,6 @@ struct ReportRunTiming
     std::string id;
     double acquireSeconds = 0;   ///< Trace pin/generation (or open).
     double simulateSeconds = 0;  ///< System construction + run.
-    double encodeSeconds = 0;    ///< Store record build + append.
     double wallSeconds = 0;      ///< Sum of the stages.
     std::uint64_t records = 0;   ///< Trace records simulated.
     /** Peak record chunks resident for this run (chunked pipeline
@@ -54,8 +52,8 @@ struct ReportRunTiming
     std::uint64_t peakResidentChunks = 0;
     /** Epoch-sampled counter series (`--sample-every`; empty when
      *  sampling is off). Lives under the timing key like every other
-     *  non-model observation, so it never perturbs fingerprints or
-     *  `--no-timing` byte-compares. */
+     *  non-model observation, so it never perturbs the model output
+     *  or `--no-timing` byte-compares. */
     telemetry::SampleSeries samples;
 };
 
@@ -63,10 +61,10 @@ struct ReportRunTiming
  * Execution timing metadata attached to a report.
  *
  * Rendered under the JSON "timing" key, and ONLY there: timing is
- * noise, not model output, so it is deliberately excluded from
- * toResultRecord() — and with it from result-store fingerprints and
- * snapshot diffs. Determinism gates that byte-compare reports must
- * run the driver with --no-timing (or strip the key).
+ * noise, not model output, so it never reaches metrics() or
+ * tables() — the model output the golden reports and the determinism
+ * gates compare. Gates that byte-compare reports must run the driver
+ * with --no-timing (or strip the key).
  */
 struct ReportTiming
 {
@@ -74,7 +72,6 @@ struct ReportTiming
     double wallSeconds = 0;
     double acquireSeconds = 0;
     double simulateSeconds = 0;
-    double encodeSeconds = 0;
     std::uint32_t threads = 0;  ///< Resolved worker count.
     bool pipelined = false;
     std::uint64_t records = 0;  ///< Trace records simulated.
@@ -136,13 +133,6 @@ class Report
     /** Machine rendering: {experiment, metrics{}, tables[]}. The
      *  output is byte-deterministic for identical inputs. */
     std::string toJson() const;
-
-    /**
-     * Capture this report as a store record skeleton: experiment
-     * name, metrics as scalars, tables as series. The caller fills
-     * fingerprint, params, and provenance before appending.
-     */
-    results::ResultRecord toResultRecord() const;
 
   private:
     std::string experiment_;

@@ -17,8 +17,6 @@
 #include "common/log.hh"
 #include "driver/bounded_queue.hh"
 #include "driver/chunk_stream.hh"
-#include "results/fingerprint.hh"
-#include "results/run_codec.hh"
 #include "telemetry/trace_writer.hh"
 #include "workload/workloads.hh"
 
@@ -126,16 +124,9 @@ ExperimentRunner::ExperimentRunner(TraceCache &traces,
                                    RunnerConfig config)
     : traces_(traces), config_(config)
 {
-    if (config_.shardCount > 0) {
-        stms_assert(config_.shardIndex >= 1 &&
-                        config_.shardIndex <= config_.shardCount,
-                    "shard index out of range");
-        stms_assert(config_.store != nullptr,
-                    "sharding requires a result store");
-    }
     // threads == 0 auto-detects. The resolved count is execution
-    // metadata only — it never reaches plans, options, or
-    // fingerprints, so stored results stay thread-count-independent.
+    // metadata only — it never reaches plans or options, so model
+    // output stays thread-count-independent.
     resolvedThreads_ = config_.threads;
     if (resolvedThreads_ == 0) {
         resolvedThreads_ = std::thread::hardware_concurrency();
@@ -166,9 +157,8 @@ ExperimentRunner::execute(const Experiment &experiment,
     }
 
     // Telemetry sampling rides the same chokepoint — but NOT the
-    // Options store: the epoch is observation, not configuration, so
-    // it must never reach normalizedParams()/fingerprints. Probes
-    // only read counters, so model output is untouched (the
+    // Options store: the epoch is observation, not configuration.
+    // Probes only read counters, so model output is untouched (the
     // telemetry determinism tests byte-compare exactly that).
     const std::uint64_t sample_every =
         config_.sampleEvery != 0 ? config_.sampleEvery
@@ -181,63 +171,8 @@ ExperimentRunner::execute(const Experiment &experiment,
     ExecStats local;
     local.planned = plan.size();
 
-    // Per-spec store bookkeeping, decided up front so the worker
-    // loop stays a pure index -> output map.
-    enum class Action : std::uint8_t { Run, Resume, Shard };
-    std::vector<Action> actions(plan.size(), Action::Run);
-    std::vector<results::Fingerprint> fingerprints(plan.size());
     std::vector<RunOutput> outputs(plan.size());
-    // Force-append when a stored record exists but could not be
-    // decoded (incompatible codec): the fresh record must supersede
-    // it despite the fingerprint already being indexed.
-    std::vector<std::uint8_t> force_store(plan.size(), 0);
-
-    const bool fingerprinted =
-        config_.store != nullptr || config_.shardCount > 0;
-    if (fingerprinted) {
-        const results::ParamList params = options.items();
-        for (std::size_t i = 0; i < plan.size(); ++i) {
-            fingerprints[i] = results::fingerprintRun(
-                experiment.name(), experiment.schemaVersion(),
-                plan[i].id, params);
-            if (config_.shardCount > 0 &&
-                fingerprints[i].value % config_.shardCount !=
-                    config_.shardIndex - 1) {
-                actions[i] = Action::Shard;
-                ++local.sharded;
-                continue;
-            }
-            if (!config_.store || config_.rerun)
-                continue;
-            // findLatest serves from the store's in-memory cache:
-            // one records.jsonl parse per store, not per experiment.
-            const auto archived =
-                config_.store->findLatest(fingerprints[i]);
-            if (!archived || archived->kind != results::kKindRun)
-                continue;
-            std::string decode_error;
-            if (results::decodeRunOutput(archived->scalars,
-                                         outputs[i], decode_error)) {
-                actions[i] = Action::Resume;
-                ++local.resumed;
-            } else {
-                // An incompatible or damaged record: re-simulate
-                // rather than trust it.
-                outputs[i] = RunOutput{};
-                force_store[i] = 1;
-            }
-        }
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        if (actions[i] == Action::Run)
-            pending.push_back(i);
-    local.executed = pending.size();
-
     std::vector<RunTiming> timings(plan.size());
-    std::atomic<std::size_t> appended{0};
 
     // --- Stage bodies -------------------------------------------------
 
@@ -301,67 +236,42 @@ ExperimentRunner::execute(const Experiment &experiment,
                    spec.id.c_str());
     };
 
-    // encode: serialize into the store. The span covers the stage
-    // even with no store attached (instantaneous), so serial and
-    // pipelined traces always show the same three stages per run.
-    auto encodeOne = [&](std::size_t index) {
-        telemetry::ScopedSpan span("stage", "encode", plan[index].id);
-        if (!config_.store)
-            return;
-        const Clock::time_point start = Clock::now();
-        results::ResultRecord record;
-        record.kind = results::kKindRun;
-        record.fingerprint = fingerprints[index];
-        record.experiment = experiment.name();
-        record.run = plan[index].id;
-        record.params = results::normalizedParams(options.items());
-        record.gitDescribe = results::gitDescribe();
-        record.timestamp = results::utcTimestamp();
-        record.scalars = results::encodeRunOutput(outputs[index]);
-        {
-            telemetry::ScopedSpan append_span("store", "store.append",
-                                              plan[index].id);
-            if (config_.store->append(record,
-                                      config_.rerun ||
-                                          force_store[index] != 0))
-                appended.fetch_add(1);
-        }
-        timings[index].encodeSeconds = secondsSince(start);
-    };
-
     // --- Schedules ----------------------------------------------------
 
     const std::size_t workers = std::min<std::size_t>(
-        std::max<std::uint32_t>(resolvedThreads_, 1), pending.size());
+        std::max<std::uint32_t>(resolvedThreads_, 1), plan.size());
 
     // Report the execution actually used, not the one requested: a
     // <= 1-run plan degenerates to fan-out, and the pool never
-    // exceeds the pending work.
-    const bool pipelined = config_.pipeline && pending.size() > 1;
+    // exceeds the plan.
+    const bool pipelined = config_.pipeline && plan.size() > 1;
     local.pipelined = pipelined;
     local.threadsResolved =
         static_cast<std::uint32_t>(std::max<std::size_t>(workers, 1));
 
     telemetry::ProgressMeter progress(
-        telemetry::progressEnabled(config_.progress) &&
-            !pending.empty(),
-        experiment.name(), pending.size(), local.threadsResolved);
+        telemetry::progressEnabled(config_.progress) && !plan.empty(),
+        experiment.name(), plan.size(), local.threadsResolved);
+
+    // The end of a run, on whichever thread simulated it: close its
+    // lifecycle span, flush this thread's spans, tick the meter.
+    auto finishOne = [&](std::size_t index) {
+        traceRunEnd(index, plan[index].id);
+        flushTraceThread();
+        progress.noteRun(timings[index].records,
+                         timings[index].acquireSeconds,
+                         timings[index].simulateSeconds);
+    };
 
     if (!pipelined) {
-        // Fan-out: each worker runs all three stages back to back.
+        // Fan-out: each worker runs both stages back to back.
         auto executeOne = [&](std::size_t index) {
             traceRunBegin(index, plan[index].id);
             simulateOne(index, acquireOne(index));
-            encodeOne(index);
-            traceRunEnd(index, plan[index].id);
-            flushTraceThread();
-            progress.noteRun(timings[index].records,
-                             timings[index].acquireSeconds,
-                             timings[index].simulateSeconds,
-                             timings[index].encodeSeconds);
+            finishOne(index);
         };
         if (workers <= 1) {
-            for (const std::size_t index : pending)
+            for (std::size_t index = 0; index < plan.size(); ++index)
                 executeOne(index);
         } else {
             std::atomic<std::size_t> next{0};
@@ -374,8 +284,8 @@ ExperimentRunner::execute(const Experiment &experiment,
                                   w);
                     nameTraceThread(label);
                     for (std::size_t i = next.fetch_add(1);
-                         i < pending.size(); i = next.fetch_add(1)) {
-                        executeOne(pending[i]);
+                         i < plan.size(); i = next.fetch_add(1)) {
+                        executeOne(i);
                     }
                 });
             }
@@ -388,11 +298,11 @@ ExperimentRunner::execute(const Experiment &experiment,
         // per synthetic run — its producer thread generates lane
         // chunks ahead of the simulator, paced by per-lane bounded
         // queues — and hands sources (not traces) to the simulator
-        // pool over a bounded run-lookahead queue. A dedicated
-        // encoder drains into the store. Residency is therefore
-        // (runs in flight) x lanes x O(1) chunks, independent of
-        // trace length; ingest runs keep their existing bounded
-        // streaming path inside simulateOne.
+        // pool over a bounded run-lookahead queue. Each simulator
+        // ends its own runs. Residency is therefore (runs in flight)
+        // x lanes x O(1) chunks, independent of trace length; ingest
+        // runs keep their existing bounded streaming path inside
+        // simulateOne.
         const std::uint64_t chunk_records =
             config_.pipelineChunkRecords != 0
                 ? config_.pipelineChunkRecords
@@ -411,13 +321,11 @@ ExperimentRunner::execute(const Experiment &experiment,
         // the worker count. One spare run is enough to keep the
         // simulators from ever waiting on acquire.
         BoundedQueue<AcquiredRun> acquired(2);
-        BoundedQueue<std::size_t> simulated(2 * workers + 2);
         acquired.instrument("queue.acquired");
-        simulated.instrument("queue.simulated");
 
         std::thread acquirer([&] {
             nameTraceThread("acquire");
-            for (const std::size_t index : pending) {
+            for (std::size_t index = 0; index < plan.size(); ++index) {
                 const RunSpec &spec = plan[index];
                 traceRunBegin(index, spec.id);
                 AcquiredRun item{index, nullptr};
@@ -477,36 +385,18 @@ ExperimentRunner::execute(const Experiment &experiment,
                     } else {
                         simulateOne(index, TraceCache::Handle());
                     }
-                    flushTraceThread();
-                    simulated.push(index);
+                    finishOne(index);
                 }
             });
         }
 
-        std::thread encoder([&] {
-            nameTraceThread("encode");
-            while (auto index = simulated.pop()) {
-                encodeOne(*index);
-                traceRunEnd(*index, plan[*index].id);
-                flushTraceThread();
-                progress.noteRun(timings[*index].records,
-                                 timings[*index].acquireSeconds,
-                                 timings[*index].simulateSeconds,
-                                 timings[*index].encodeSeconds);
-            }
-        });
-
         acquirer.join();
         for (auto &thread : simulators)
             thread.join();
-        simulated.close();
-        encoder.join();
         local.peakResidentChunks = chunk_accounting.peak.load();
     }
 
     progress.finish();
-
-    local.stored = appended.load();
     flushTraceThread();
 
     // Fold per-run timings (plan order) into the stats. Sampled
@@ -514,12 +404,11 @@ ExperimentRunner::execute(const Experiment &experiment,
     // observations, reported under the timing key and never part of
     // the model output RunSet/report consumers see.
     local.sampleEvery = sample_every;
-    for (const std::size_t index : pending) {
+    for (std::size_t index = 0; index < plan.size(); ++index) {
         RunTiming &timing = timings[index];
         timing.id = plan[index].id;
-        timing.wallSeconds = timing.acquireSeconds +
-                             timing.simulateSeconds +
-                             timing.encodeSeconds;
+        timing.wallSeconds =
+            timing.acquireSeconds + timing.simulateSeconds;
         timing.samples = std::move(outputs[index].sim.samples);
         outputs[index].sim.samples = telemetry::SampleSeries();
         if (local.sampleColumns.empty() &&
@@ -527,7 +416,6 @@ ExperimentRunner::execute(const Experiment &experiment,
             local.sampleColumns = timing.samples.columns;
         local.acquireSeconds += timing.acquireSeconds;
         local.simulateSeconds += timing.simulateSeconds;
-        local.encodeSeconds += timing.encodeSeconds;
         local.recordsProcessed += timing.records;
         local.runs.push_back(std::move(timing));
     }
@@ -535,8 +423,7 @@ ExperimentRunner::execute(const Experiment &experiment,
 
     RunSet runs;
     for (std::size_t i = 0; i < plan.size(); ++i)
-        if (actions[i] != Action::Shard)
-            runs.add(plan[i].id, std::move(outputs[i]));
+        runs.add(plan[i].id, std::move(outputs[i]));
     if (stats)
         *stats = local;
     return runs;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace stms::results
 {
@@ -43,283 +41,10 @@ jsonNumber(double value)
         std::snprintf(buf, sizeof(buf), "%.0f", value);
         return buf;
     }
-    // %.17g round-trips doubles exactly, which both the determinism
-    // tests and the result store's scalar diffing rely on.
+    // %.17g round-trips doubles exactly, which the determinism gates
+    // and the golden-report comparison rely on.
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
-}
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    for (const auto &[name, value] : object)
-        if (name == key)
-            return &value;
-    return nullptr;
-}
-
-std::string
-JsonValue::getString(const std::string &key,
-                     const std::string &fallback) const
-{
-    const JsonValue *value = find(key);
-    return value && value->isString() ? value->text : fallback;
-}
-
-double
-JsonValue::getNumber(const std::string &key, double fallback) const
-{
-    const JsonValue *value = find(key);
-    return value && value->isNumber() ? value->number : fallback;
-}
-
-namespace
-{
-
-/** Recursive-descent parser over a byte range. */
-class Parser
-{
-  public:
-    Parser(const std::string &text, std::string &error)
-        : text_(text), error_(error)
-    {}
-
-    bool
-    parseDocument(JsonValue &out)
-    {
-        skipSpace();
-        if (!parseValue(out, 0))
-            return false;
-        skipSpace();
-        if (pos_ != text_.size())
-            return fail("trailing bytes after JSON value");
-        return true;
-    }
-
-  private:
-    static constexpr int kMaxDepth = 64;
-
-    bool
-    fail(const std::string &reason)
-    {
-        error_ = "offset " + std::to_string(pos_) + ": " + reason;
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size()) {
-            const char ch = text_[pos_];
-            if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r')
-                break;
-            ++pos_;
-        }
-    }
-
-    bool
-    expect(char ch)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != ch)
-            return fail(std::string("expected '") + ch + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    literal(const char *word, std::size_t len)
-    {
-        if (text_.compare(pos_, len, word) != 0)
-            return fail(std::string("bad literal (expected ") + word +
-                        ")");
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out, int depth)
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        switch (text_[pos_]) {
-          case '{': return parseObject(out, depth);
-          case '[': return parseArray(out, depth);
-          case '"':
-            out.type = JsonValue::Type::String;
-            return parseString(out.text);
-          case 't':
-            out.type = JsonValue::Type::Bool;
-            out.boolean = true;
-            return literal("true", 4);
-          case 'f':
-            out.type = JsonValue::Type::Bool;
-            out.boolean = false;
-            return literal("false", 5);
-          case 'n':
-            out.type = JsonValue::Type::Null;
-            return literal("null", 4);
-          default: return parseNumber(out);
-        }
-    }
-
-    bool
-    parseObject(JsonValue &out, int depth)
-    {
-        out.type = JsonValue::Type::Object;
-        ++pos_;  // '{'
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            std::string key;
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return fail("expected object key");
-            if (!parseString(key))
-                return false;
-            skipSpace();
-            if (!expect(':'))
-                return false;
-            skipSpace();
-            JsonValue value;
-            if (!parseValue(value, depth + 1))
-                return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return fail("unterminated object");
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect('}');
-        }
-    }
-
-    bool
-    parseArray(JsonValue &out, int depth)
-    {
-        out.type = JsonValue::Type::Array;
-        ++pos_;  // '['
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            JsonValue value;
-            if (!parseValue(value, depth + 1))
-                return false;
-            out.array.push_back(std::move(value));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return fail("unterminated array");
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        ++pos_;  // opening quote
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char ch = text_[pos_++];
-            if (ch == '"')
-                return true;
-            if (static_cast<unsigned char>(ch) < 0x20)
-                return fail("raw control character in string");
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char hex = text_[pos_++];
-                    code <<= 4;
-                    if (hex >= '0' && hex <= '9')
-                        code |= static_cast<unsigned>(hex - '0');
-                    else if (hex >= 'a' && hex <= 'f')
-                        code |= static_cast<unsigned>(hex - 'a' + 10);
-                    else if (hex >= 'A' && hex <= 'F')
-                        code |= static_cast<unsigned>(hex - 'A' + 10);
-                    else
-                        return fail("bad hex digit in \\u escape");
-                }
-                // The store only ever emits \u00xx for control
-                // characters; encode the general case as UTF-8.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-              }
-              default: return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double value = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a JSON value");
-        if (!std::isfinite(value))
-            return fail("non-finite number");
-        out.type = JsonValue::Type::Number;
-        out.number = value;
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    const std::string &text_;
-    std::string &error_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-parseJson(const std::string &text, JsonValue &out, std::string &error)
-{
-    out = JsonValue{};
-    Parser parser(text, error);
-    return parser.parseDocument(out);
 }
 
 } // namespace stms::results

@@ -1,23 +1,17 @@
 /**
  * @file
- * Minimal JSON reading and writing for the results layer.
+ * JSON writing helpers shared by every JSON sink.
  *
- * The result store persists records as JSON Lines and the diff engine
- * reads them (and committed baselines) back, so the repo needs a JSON
- * parser with exactly the subset the store emits: objects, arrays,
- * strings, finite numbers, booleans, and null. Writing goes through
- * jsonEscape()/jsonNumber(), which the driver's Report sinks share —
- * numbers render in their shortest round-trippable form, which is
- * what makes store records byte-diffable across runs.
+ * Reports, trace exports and the sweep benchmark's results all render
+ * strings through jsonEscape() and numbers through jsonNumber().
+ * Numbers print in their shortest round-trippable form, which is what
+ * makes `--no-timing` reports byte-comparable across runs.
  */
 
 #ifndef STMS_RESULTS_JSON_HH
 #define STMS_RESULTS_JSON_HH
 
-#include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace stms::results
 {
@@ -28,49 +22,6 @@ std::string jsonEscape(const std::string &text);
 /** Render a double the way the JSON sinks do (shortest
  *  round-trippable form; integral values print without a point). */
 std::string jsonNumber(double value);
-
-/** One parsed JSON value (object keys keep file order). */
-struct JsonValue
-{
-    enum class Type : std::uint8_t
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    bool isObject() const { return type == Type::Object; }
-    bool isArray() const { return type == Type::Array; }
-    bool isString() const { return type == Type::String; }
-    bool isNumber() const { return type == Type::Number; }
-
-    /** Member of an object, or nullptr (first match wins). */
-    const JsonValue *find(const std::string &key) const;
-
-    /** Convenience accessors with fallbacks for absent/mistyped
-     *  members; keep record parsing tolerant of older schemas. */
-    std::string getString(const std::string &key,
-                          const std::string &fallback = "") const;
-    double getNumber(const std::string &key, double fallback = 0.0) const;
-};
-
-/**
- * Parse @p text (one complete JSON document; surrounding whitespace
- * allowed, trailing bytes rejected). On failure fills @p error with a
- * byte offset + reason and returns false.
- */
-bool parseJson(const std::string &text, JsonValue &out,
-               std::string &error);
 
 } // namespace stms::results
 

@@ -2,14 +2,20 @@
  * @file
  * RunOutput <-> flat scalars.
  *
- * Sweep resume works by replaying stored run records instead of
- * re-simulating, so every field an experiment's report() can read —
- * simulation counters, per-class traffic, per-core MLP, prefetcher
- * stats, the STMS-internal counters and the stream-length histogram —
- * must round-trip through the store's flat {name: number} scalar map.
- * encodeRunOutput() flattens a RunOutput into that map and
- * decodeRunOutput() rebuilds it exactly; the codec_test asserts the
- * round trip is lossless on real simulation output.
+ * encodeRunOutput() flattens every field an experiment's report()
+ * can read — simulation counters, per-class traffic, per-core MLP,
+ * prefetcher stats, the STMS-internal counters and the stream-length
+ * histogram — into named scalars. The model digests are folded over
+ * exactly those scalars: perf_suite's model_digest, the ModelDigest
+ * tests and the sweep benchmark's correctness check all go through
+ * foldModelDigest() or encodeRunOutput().
+ *
+ * decodeRunOutput() rebuilds a RunOutput from the scalars. Nothing in
+ * the simulator needs it; it exists as the proof that the digest
+ * covers every RunOutput field. The codec test decodes real
+ * simulation output and compares it field by field, so a new field
+ * that misses the encoder (and would therefore escape the digest)
+ * fails there.
  *
  * Scalars use dotted names ("sim.traffic.meta-update.bytes"); vector
  * fields carry an explicit ".count" so decoding never guesses sizes.
@@ -35,8 +41,7 @@ encodeRunOutput(const RunOutput &output);
 /**
  * Rebuild a RunOutput from @p scalars. Returns false (with @p error)
  * when the scalars were not produced by encodeRunOutput() — detected
- * via the embedded codec version — so a store written by a future
- * incompatible build is re-simulated instead of misread.
+ * via the embedded codec version.
  */
 bool decodeRunOutput(
     const std::vector<std::pair<std::string, double>> &scalars,

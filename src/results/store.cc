@@ -1,18 +1,9 @@
 #include "results/store.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-
-#include "common/log.hh"
 
 namespace stms::results
 {
-
-namespace fs = std::filesystem;
 
 bool
 atomicWriteFile(const std::string &path, const std::string &payload)
@@ -35,382 +26,6 @@ atomicWriteFile(const std::string &path, const std::string &payload)
         return false;
     }
     return true;
-}
-
-std::string
-gitDescribe()
-{
-    static const std::string cached = [] {
-        if (const char *env = std::getenv("STMS_GIT_DESCRIBE"))
-            return std::string(env);
-        std::string out = "unknown";
-#if defined(__unix__) || defined(__APPLE__)
-        std::FILE *pipe = popen(
-            "git describe --always --dirty 2>/dev/null", "r");
-        if (pipe) {
-            char buf[128];
-            if (std::fgets(buf, sizeof(buf), pipe)) {
-                std::string text(buf);
-                while (!text.empty() &&
-                       (text.back() == '\n' || text.back() == '\r'))
-                    text.pop_back();
-                if (!text.empty())
-                    out = text;
-            }
-            pclose(pipe);
-        }
-#endif
-        return out;
-    }();
-    return cached;
-}
-
-std::string
-utcTimestamp()
-{
-    const std::time_t now = std::time(nullptr);
-    std::tm utc{};
-#if defined(_WIN32)
-    gmtime_s(&utc, &now);
-#else
-    gmtime_r(&now, &utc);
-#endif
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &utc);
-    return buf;
-}
-
-namespace
-{
-
-/**
- * Read a JSONL file line by line. A final line without a trailing
- * newline is an interrupted append and is ignored — the record is
- * incomplete by definition (append() writes the newline with the
- * line in one buffered write, so complete records always end in
- * '\n').
- */
-bool
-forEachCompleteLine(
-    const std::string &path,
-    const std::function<void(const std::string &)> &fn,
-    std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    std::size_t begin = 0;
-    while (begin < content.size()) {
-        const std::size_t nl = content.find('\n', begin);
-        if (nl == std::string::npos)
-            break;  // Truncated tail: skip.
-        if (nl > begin)
-            fn(content.substr(begin, nl - begin));
-        begin = nl + 1;
-    }
-    return true;
-}
-
-} // namespace
-
-ResultStore::ResultStore(std::string dir, std::string records_path,
-                         std::string index_path)
-    : dir_(std::move(dir)), recordsPath_(std::move(records_path)),
-      indexPath_(std::move(index_path))
-{}
-
-std::unique_ptr<ResultStore>
-ResultStore::open(const std::string &dir, std::string &error)
-{
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        error = "cannot create store directory '" + dir +
-                "': " + ec.message();
-        return nullptr;
-    }
-    auto store = std::unique_ptr<ResultStore>(new ResultStore(
-        dir, (fs::path(dir) / "records.jsonl").string(),
-        (fs::path(dir) / "index.tsv").string()));
-    if (!store->loadOrRebuildIndex(error))
-        return nullptr;
-    return store;
-}
-
-bool
-ResultStore::loadOrRebuildIndex(std::string &error)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    index_.clear();
-    if (!fs::exists(recordsPath_)) {
-        // Brand-new store: start the records file so later appends
-        // and loads never special-case a missing file.
-        std::ofstream touch(recordsPath_, std::ios::app);
-        if (!touch) {
-            error = "cannot create '" + recordsPath_ + "'";
-            return false;
-        }
-        return rewriteIndexLocked();
-    }
-
-    // Heal a crash artifact: a records file not ending in '\n' holds
-    // a truncated append. Terminate it so the fragment becomes one
-    // malformed (skipped, gc-collectable) line instead of gluing
-    // itself onto the next appended record.
-    {
-        std::ifstream in(recordsPath_, std::ios::binary);
-        in.seekg(0, std::ios::end);
-        const std::streamoff size = in.tellg();
-        if (size > 0) {
-            in.seekg(size - 1);
-            char last = '\n';
-            in.get(last);
-            if (last != '\n') {
-                std::ofstream out(recordsPath_, std::ios::app |
-                                                    std::ios::binary);
-                out << '\n';
-            }
-        }
-    }
-
-    // A well-formed index is trusted as-is — that is what makes
-    // open() cheap on a large archive. It is rebuilt from the
-    // records only when missing or malformed; after hand-editing or
-    // concatenating records files, delete index.tsv (or run
-    // `--results gc`) to refresh dedupe. Resume never depends on the
-    // index — record loads always scan records.jsonl itself.
-    bool index_ok = fs::exists(indexPath_);
-    if (index_ok) {
-        std::ifstream in(indexPath_);
-        std::string line;
-        while (std::getline(in, line)) {
-            const std::string hex = line.substr(0, line.find('\t'));
-            Fingerprint fp;
-            if (!Fingerprint::parseHex(hex, fp)) {
-                index_ok = false;
-                index_.clear();
-                break;
-            }
-            index_.insert(fp.value);
-        }
-    }
-    if (index_ok)
-        return true;
-
-    std::string unused;
-    if (!forEachCompleteLine(
-            recordsPath_,
-            [&](const std::string &line) {
-                ResultRecord record;
-                std::string parse_error;
-                if (ResultRecord::parseJsonLine(line, record,
-                                                parse_error))
-                    index_.insert(record.fingerprint.value);
-            },
-            unused)) {
-        error = "cannot read '" + recordsPath_ + "'";
-        return false;
-    }
-    return rewriteIndexLocked();
-}
-
-void
-ResultStore::ensureLatestCacheLocked() const
-{
-    if (latestCacheValid_)
-        return;
-    latestCache_.clear();
-    std::string unused;
-    forEachCompleteLine(
-        recordsPath_,
-        [&](const std::string &line) {
-            ResultRecord record;
-            std::string parse_error;
-            if (ResultRecord::parseJsonLine(line, record,
-                                            parse_error))
-                latestCache_[record.fingerprint.value] =
-                    std::move(record);
-        },
-        unused);
-    latestCacheValid_ = true;
-}
-
-bool
-ResultStore::rewriteIndexLocked()
-{
-    std::string payload;
-    for (const std::uint64_t value : index_)
-        payload += Fingerprint{value}.hex() + "\n";
-    return atomicWriteFile(indexPath_, payload);
-}
-
-bool
-ResultStore::contains(const Fingerprint &fingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return index_.count(fingerprint.value) != 0;
-}
-
-bool
-ResultStore::append(const ResultRecord &record, bool force)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!force && index_.count(record.fingerprint.value) != 0)
-        return false;
-
-    // One buffered write of line + newline: a crash mid-append leaves
-    // at most one newline-less tail, which loads ignore.
-    const std::string line = record.toJsonLine() + "\n";
-    std::FILE *file = std::fopen(recordsPath_.c_str(), "ab");
-    if (!file)
-        stms_fatal("cannot append to '%s'", recordsPath_.c_str());
-    const bool ok =
-        std::fwrite(line.data(), 1, line.size(), file) == line.size();
-    if (std::fclose(file) != 0 || !ok)
-        stms_fatal("short write to '%s'", recordsPath_.c_str());
-
-    if (index_.insert(record.fingerprint.value).second) {
-        std::FILE *index_file = std::fopen(indexPath_.c_str(), "ab");
-        if (index_file) {
-            const std::string entry = record.fingerprint.hex() + "\t" +
-                                      record.kind + "\t" +
-                                      record.experiment + "\t" +
-                                      record.run + "\n";
-            std::fwrite(entry.data(), 1, entry.size(), index_file);
-            std::fclose(index_file);
-        }
-    }
-    if (latestCacheValid_)
-        latestCache_[record.fingerprint.value] = record;
-    return true;
-}
-
-std::vector<ResultRecord>
-ResultStore::loadAll(std::size_t *dropped) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<ResultRecord> records;
-    std::size_t bad = 0;
-    std::string unused;
-    forEachCompleteLine(
-        recordsPath_,
-        [&](const std::string &line) {
-            ResultRecord record;
-            std::string parse_error;
-            if (ResultRecord::parseJsonLine(line, record, parse_error))
-                records.push_back(std::move(record));
-            else
-                ++bad;
-        },
-        unused);
-    if (dropped)
-        *dropped = bad;
-    return records;
-}
-
-std::unordered_map<std::uint64_t, ResultRecord>
-ResultStore::loadLatest() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensureLatestCacheLocked();
-    return latestCache_;
-}
-
-std::optional<ResultRecord>
-ResultStore::findLatest(const Fingerprint &fingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensureLatestCacheLocked();
-    auto it = latestCache_.find(fingerprint.value);
-    if (it == latestCache_.end())
-        return std::nullopt;
-    return it->second;
-}
-
-long
-ResultStore::gc(std::string &error)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-
-    std::vector<ResultRecord> records;
-    std::size_t total_lines = 0;
-    if (!forEachCompleteLine(
-            recordsPath_,
-            [&](const std::string &line) {
-                ++total_lines;
-                ResultRecord record;
-                std::string parse_error;
-                if (ResultRecord::parseJsonLine(line, record,
-                                                parse_error))
-                    records.push_back(std::move(record));
-            },
-            error))
-        return -1;
-
-    // Latest record per fingerprint wins; survivors keep file order
-    // of their final occurrence.
-    std::unordered_map<std::uint64_t, std::size_t> last;
-    for (std::size_t i = 0; i < records.size(); ++i)
-        last[records[i].fingerprint.value] = i;
-
-    std::string payload;
-    std::size_t kept = 0;
-    index_.clear();
-    latestCache_.clear();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (last[records[i].fingerprint.value] != i)
-            continue;
-        payload += records[i].toJsonLine() + "\n";
-        index_.insert(records[i].fingerprint.value);
-        latestCache_[records[i].fingerprint.value] =
-            std::move(records[i]);
-        ++kept;
-    }
-    latestCacheValid_ = true;
-    if (!atomicWriteFile(recordsPath_, payload)) {
-        error = "cannot rewrite '" + recordsPath_ + "'";
-        return -1;
-    }
-    if (!rewriteIndexLocked()) {
-        error = "cannot rewrite '" + indexPath_ + "'";
-        return -1;
-    }
-    return static_cast<long>(total_lines - kept);
-}
-
-std::size_t
-ResultStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return index_.size();
-}
-
-bool
-loadSnapshot(const std::string &path, std::vector<ResultRecord> &out,
-             std::string &error)
-{
-    out.clear();
-    std::string file = path;
-    std::error_code ec;
-    if (fs::is_directory(path, ec))
-        file = (fs::path(path) / "records.jsonl").string();
-    if (!fs::exists(file, ec)) {
-        error = "no snapshot at '" + file + "'";
-        return false;
-    }
-    return forEachCompleteLine(
-        file,
-        [&](const std::string &line) {
-            ResultRecord record;
-            std::string parse_error;
-            if (ResultRecord::parseJsonLine(line, record, parse_error))
-                out.push_back(std::move(record));
-        },
-        error);
 }
 
 } // namespace stms::results

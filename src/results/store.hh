@@ -1,38 +1,16 @@
 /**
  * @file
- * The persistent, append-only experiment archive.
+ * Crash-safe whole-file writes for the JSON sinks.
  *
- * A store is one directory (per machine, typically outside the build
- * tree) holding:
- *
- *   records.jsonl   append-only JSON Lines, one ResultRecord each
- *   index.tsv       fingerprint dedupe index; trusted when
- *                   well-formed, rebuilt from records.jsonl when
- *                   missing or malformed (delete it — or run
- *                   `--results gc` — after hand-editing the records
- *                   file)
- *
- * Appends dedupe on exact fingerprint: re-running an identical
- * configuration adds nothing unless forced (--rerun). Loads tolerate
- * a truncated final line — the crash artifact an interrupted append
- * leaves behind — by ignoring it; every full-file write (index, gc
- * compaction) goes through atomicWriteFile() so no reader ever sees
- * a half-written file. The store is thread-safe: worker threads
- * append concurrently while a sweep runs.
+ * Reports (`--json`), trace exports (`--trace-out`) and the sweep
+ * benchmark's results are written in one piece through
+ * atomicWriteFile(), so a reader never sees a half-written file.
  */
 
 #ifndef STMS_RESULTS_STORE_HH
 #define STMS_RESULTS_STORE_HH
 
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#include "results/record.hh"
 
 namespace stms::results
 {
@@ -44,94 +22,6 @@ namespace stms::results
  */
 bool atomicWriteFile(const std::string &path,
                      const std::string &payload);
-
-/** `git describe --always --dirty` of the working tree, cached for
- *  the process ("unknown" outside a repo). The STMS_GIT_DESCRIBE
- *  environment variable overrides — CI and tests pin it. */
-std::string gitDescribe();
-
-/** Current UTC time as "YYYY-MM-DDThh:mm:ssZ". */
-std::string utcTimestamp();
-
-/** One open results directory. */
-class ResultStore
-{
-  public:
-    /** Open (creating if needed) the store at @p dir; nullptr +
-     *  @p error when the directory cannot be created or read. */
-    static std::unique_ptr<ResultStore> open(const std::string &dir,
-                                             std::string &error);
-
-    const std::string &dir() const { return dir_; }
-    const std::string &recordsPath() const { return recordsPath_; }
-
-    /** True when a record with @p fingerprint was ever appended. */
-    bool contains(const Fingerprint &fingerprint) const;
-
-    /**
-     * Append @p record. Returns true when written; false when an
-     * exact-fingerprint duplicate already exists and @p force is
-     * unset (the dedupe path). Thread-safe.
-     */
-    bool append(const ResultRecord &record, bool force = false);
-
-    /** Every record, in file order (malformed lines are skipped and
-     *  counted in @p dropped when non-null). */
-    std::vector<ResultRecord>
-    loadAll(std::size_t *dropped = nullptr) const;
-
-    /** Latest record per fingerprint (later appends win). */
-    std::unordered_map<std::uint64_t, ResultRecord>
-    loadLatest() const;
-
-    /**
-     * Latest record for @p fingerprint, or nullopt. Served from an
-     * in-memory cache built on first use and kept current across
-     * append()/gc(), so resuming a multi-experiment sweep parses
-     * records.jsonl once, not once per experiment.
-     */
-    std::optional<ResultRecord>
-    findLatest(const Fingerprint &fingerprint) const;
-
-    /**
-     * Compact records.jsonl down to the latest record per
-     * fingerprint, dropping superseded duplicates and malformed
-     * lines; rewrites file + index atomically. Returns the number of
-     * lines dropped, or -1 with @p error set.
-     */
-    long gc(std::string &error);
-
-    std::size_t size() const;
-
-  private:
-    ResultStore(std::string dir, std::string records_path,
-                std::string index_path);
-
-    bool loadOrRebuildIndex(std::string &error);
-    bool rewriteIndexLocked();
-    void ensureLatestCacheLocked() const;
-
-    std::string dir_;
-    std::string recordsPath_;
-    std::string indexPath_;
-
-    mutable std::mutex mutex_;
-    std::unordered_set<std::uint64_t> index_;
-    /** Lazily built latest-record-per-fingerprint cache; this
-     *  process is the store's only writer, so append()/gc() keep it
-     *  current instead of invalidating it. */
-    mutable bool latestCacheValid_ = false;
-    mutable std::unordered_map<std::uint64_t, ResultRecord>
-        latestCache_;
-};
-
-/**
- * Load a diffable snapshot from @p path: a store directory (its
- * records.jsonl) or a bare .jsonl file (e.g. a committed baseline).
- * Malformed lines and a truncated tail are skipped.
- */
-bool loadSnapshot(const std::string &path,
-                  std::vector<ResultRecord> &out, std::string &error);
 
 } // namespace stms::results
 

@@ -1,5 +1,7 @@
 #include "sim/mem_backend.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -13,18 +15,36 @@ namespace stms
 namespace
 {
 
-/** Parse a positive decimal integer; returns false on junk or zero. */
+/**
+ * Parse a positive decimal integer; returns false on junk, zero, a
+ * sign or whitespace (strtoull would read "-1" as 2^64 - 1), or a
+ * value past 2^64 - 1.
+ */
 bool
 parsePositive(const std::string &text, std::uint64_t &value)
 {
-    if (text.empty())
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         return false;
     char *end = nullptr;
+    errno = 0;
     const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed == 0)
+    if (errno == ERANGE || *end != '\0' || parsed == 0)
         return false;
     value = parsed;
     return true;
+}
+
+/** Largest accepted value of numeric backend parameter @p key. */
+std::uint64_t
+paramLimit(const std::string &key)
+{
+    if (key == "channels")
+        return kMaxMemChannels;
+    if (key == "ranks" || key == "banks")
+        return kMaxMemBanks;
+    if (key == "row-bytes")
+        return kMaxRowBytes;
+    return kMaxMemCycles;  // latency, transfer, trcd, tcas, trp, tras.
 }
 
 } // namespace
@@ -176,10 +196,33 @@ parseMemBackendSpec(const std::string &text, MemBackendSpec &spec,
                     memBackendKindName(result.kind);
             return false;
         }
+        // Checked on the 64-bit value; the narrowed fields above
+        // reach @p spec only on success.
+        if (value > paramLimit(key)) {
+            error = "backend parameter " + key + " must be at most " +
+                    std::to_string(paramLimit(key)) + ", got '" + raw +
+                    "'";
+            return false;
+        }
+    }
+
+    if (dram) {
+        // Each factor is at most kMaxMemBanks, so this cannot wrap.
+        const std::uint64_t banks =
+            std::uint64_t{result.channels != 0 ? result.channels : 1} *
+            (result.ranks != 0 ? result.ranks : kDramDefaultRanks) *
+            (result.banksPerRank != 0 ? result.banksPerRank
+                                      : kDramDefaultBanksPerRank);
+        if (banks > kMaxMemBanks) {
+            error = "channels x ranks x banks must be at most " +
+                    std::to_string(kMaxMemBanks) + ", got " +
+                    std::to_string(banks);
+            return false;
+        }
     }
 
     // Normalize explicit defaults back to "inherit" so two spellings
-    // of the same configuration share one canonical fingerprint.
+    // of the same configuration share one canonical form.
     if (result.accessLatency == MemCtrlConfig{}.accessLatency)
         result.accessLatency = 0;
     if (result.transferCycles == MemCtrlConfig{}.transferCycles)

@@ -61,6 +61,16 @@ inline constexpr std::uint32_t kDramDefaultBanksPerRank = 8;
 /** Default channel count of the queued backend. */
 inline constexpr std::uint32_t kQueuedDefaultChannels = 2;
 
+/** Largest values parseMemBackendSpec() accepts. The count limits
+ *  keep the backends' per-channel and per-bank tables small; the
+ *  cycle limit (about 262 us at 4 GHz) keeps completion ticks far
+ *  from overflowing. */
+inline constexpr std::uint64_t kMaxMemChannels = 64;
+/** Banks in the whole DRAM backend: channels x ranks x banks. */
+inline constexpr std::uint64_t kMaxMemBanks = 4096;
+inline constexpr std::uint64_t kMaxMemCycles = 1ULL << 20;
+inline constexpr std::uint64_t kMaxRowBytes = 1ULL << 20;
+
 /**
  * Parsed form of a --mem-backend NAME[,key=val...] specification.
  *
@@ -68,8 +78,9 @@ inline constexpr std::uint32_t kQueuedDefaultChannels = 2;
  * MemCtrlConfig, structure fields take the kind's default. The parser
  * normalizes explicit values equal to the effective default back to
  * zero, so canonical() is a true canonical form: two spellings of the
- * same configuration always fingerprint identically, and the all-
- * default spec canonicalizes away entirely (isDefault()).
+ * same configuration always produce the same "mem-backend" option,
+ * and the all-default spec canonicalizes away entirely (isDefault()),
+ * leaving the options exactly as without the flag.
  */
 struct MemBackendSpec
 {
@@ -99,16 +110,17 @@ struct MemBackendSpec
 
     /**
      * Canonical spelling: kind name plus ",key=value" for every
-     * non-inherited field, keys in a fixed order. This string is what
-     * joins the result-store fingerprint.
+     * non-inherited field, keys in a fixed order. This string is the
+     * "mem-backend" experiment option the driver passes on.
      */
     std::string canonical() const;
 };
 
 /**
- * Parse "NAME[,key=val...]" into @p spec. On failure returns false
- * and leaves a human-readable message in @p error; @p spec is only
- * modified on success.
+ * Parse "NAME[,key=val...]" into @p spec. Values are unsigned decimal
+ * integers without a sign, capped at the kMaxMem* / kMaxRowBytes
+ * limits above. On failure returns false and leaves a human-readable
+ * message in @p error; @p spec is only modified on success.
  */
 bool parseMemBackendSpec(const std::string &text, MemBackendSpec &spec,
                          std::string &error);

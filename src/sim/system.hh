@@ -43,8 +43,8 @@ struct SimConfig
      * Telemetry: snapshot the counter registry every N counted
      * accesses into SimResult::samples (0 = off). Pure observation —
      * probes only read counters — so it can never perturb model
-     * output; it rides the runner chokepoint, not Options, so it can
-     * never join result-store fingerprints either.
+     * output; it rides the runner chokepoint, not Options, so it
+     * never reaches an experiment's options either.
      */
     std::uint64_t sampleEvery = 0;
 };
@@ -72,8 +72,8 @@ struct SimResult
     double overheadPerDataByte = 0.0;
 
     /** Epoch-sampled counter series (empty unless sampleEvery > 0).
-     *  Telemetry only: excluded from the result-store codec and the
-     *  report's fingerprinted metrics. */
+     *  Telemetry only: excluded from the run codec (and so from the
+     *  model digests) and from the report's metrics. */
     telemetry::SampleSeries samples;
 };
 

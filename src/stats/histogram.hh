@@ -57,9 +57,9 @@ class Log2Histogram
     void reset();
 
     /**
-     * Rebuild a histogram from serialized state (the result store
-     * persists bucket counts + count + weighted sum so a resumed run
-     * reproduces Fig. 6 CDFs bit-identically). @p buckets shorter
+     * Rebuild a histogram from serialized state: bucket counts +
+     * count + weighted sum, as decodeRunOutput() reads them back in
+     * the codec round trip (results/run_codec.hh). @p buckets shorter
      * than numBuckets() leaves the tail zero; longer is fatal.
      */
     void restore(const std::vector<std::uint64_t> &buckets,

@@ -76,7 +76,7 @@ ProgressMeter::~ProgressMeter()
 
 void
 ProgressMeter::noteRun(std::uint64_t records, double acquireSeconds,
-                       double simulateSeconds, double encodeSeconds)
+                       double simulateSeconds)
 {
     if (!enabled_)
         return;
@@ -85,7 +85,6 @@ ProgressMeter::noteRun(std::uint64_t records, double acquireSeconds,
     records_ += records;
     acquireSeconds_ += acquireSeconds;
     simulateSeconds_ += simulateSeconds;
-    encodeSeconds_ += encodeSeconds;
     maybeRedraw(done_ == total_);
 }
 
@@ -120,10 +119,10 @@ ProgressMeter::formatLocked() const
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "[%s] %zu/%zu runs | %s | ETA %s | "
-                  "acq %.0f%% sim %.0f%% enc %.0f%%",
+                  "acq %.0f%% sim %.0f%%",
                   label_.c_str(), done_, total_, formatRate(rate).c_str(),
                   formatEta(eta).c_str(), util(acquireSeconds_),
-                  util(simulateSeconds_), util(encodeSeconds_));
+                  util(simulateSeconds_));
     return buf;
 }
 

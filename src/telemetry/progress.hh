@@ -53,7 +53,7 @@ class ProgressMeter
 
     /** Record one finished run and maybe redraw. */
     void noteRun(std::uint64_t records, double acquireSeconds,
-                 double simulateSeconds, double encodeSeconds);
+                 double simulateSeconds);
 
     /** Final redraw + erase (also runs on destruction). */
     void finish();
@@ -77,7 +77,6 @@ class ProgressMeter
     std::uint64_t records_ = 0;
     double acquireSeconds_ = 0.0;
     double simulateSeconds_ = 0.0;
-    double encodeSeconds_ = 0.0;
     std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point lastDraw_;
     bool drawn_ = false;

@@ -4,11 +4,11 @@
  *
  * `--sample-every N` snapshots a registry of probes (coverage,
  * accuracy, MLP, MSHR/queue depths, row-buffer hit rates) every N
- * accessed cycles into a per-run time series. The series rides the
- * fingerprint-excluded `timing` conventions: it renders only under
- * the report's `timing` key (so `--no-timing` output byte-compares
- * against an uninstrumented run), never enters the result-store
- * codec, and reads counters without mutating them — epochs are a
+ * accessed cycles into a per-run time series. The series follows the
+ * `timing` conventions: it renders only under the report's `timing`
+ * key (so `--no-timing` output byte-compares against an
+ * uninstrumented run), never enters the run codec or the model
+ * digests, and reads counters without mutating them — epochs are a
  * pure function of the access stream, hence deterministic for fixed
  * seeds regardless of threads or pipeline mode.
  *
@@ -91,7 +91,7 @@ class EpochSampler
  *  by the runner chokepoint so nested runners — perf_suite's inner
  *  sweeps included — inherit it without threading a flag through
  *  every config. 0 = disabled. Never joins Options, so it can never
- *  perturb result-store fingerprints. */
+ *  perturb model output. */
 void setGlobalSampleEvery(std::uint64_t every);
 std::uint64_t globalSampleEvery();
 

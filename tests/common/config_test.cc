@@ -74,6 +74,23 @@ TEST(ParseSize, Suffixes)
     EXPECT_EQ(parseSize("2G"), 2ULL << 30);
     EXPECT_EQ(parseSize("1.5K"), 1536u);
     EXPECT_EQ(parseSize(""), 0u);
+    EXPECT_EQ(parseSize("16777215T"), 16777215ULL << 40);  // < 2^64.
+}
+
+TEST(ParseSize, OutOfRangeValuesAreFatal)
+{
+    // Casting any of these from double to uint64_t is undefined, so
+    // "records=-5" must exit 1 with a message rather than run with a
+    // garbage count.
+    for (const char *text :
+         {"-5", "-1K", "-0.5", "nan", "inf", "-inf", "1e30",
+          "18446744073709551616", "16777216T"}) {
+        EXPECT_EXIT(parseSize(text), ::testing::ExitedWithCode(1),
+                    "out of range")
+            << text;
+    }
+    EXPECT_EXIT(parseSize("12Q"), ::testing::ExitedWithCode(1),
+                "bad size suffix");
 }
 
 TEST(FormatSize, HumanReadable)

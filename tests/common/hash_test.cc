@@ -1,4 +1,5 @@
-/** @file Property tests for the address-hash mixer. */
+/** @file Property tests for the address-hash mixer, and FNV-1a
+ *  against its published vectors. */
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,16 @@ TEST(Hash, AvalancheFlipsManyBits)
     }
     // Single-bit input changes should flip ~32 output bits.
     EXPECT_NEAR(total_flips / trials, 32.0, 3.0);
+}
+
+TEST(Fnv1a, MatchesReferenceVectors)
+{
+    // Published FNV-1a test vectors. The model digests (perf_suite's
+    // model_digest, ModelDigest.*) are FNV-1a values, so the hash may
+    // never change.
+    EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a64("foobar", 6), 0x85944171f73967e8ULL);
 }
 
 } // namespace

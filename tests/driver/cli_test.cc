@@ -132,8 +132,8 @@ TEST(DriverCli, PipelineAndCacheFlags)
 TEST(DriverCli, PipelineChunkFlagParses)
 {
     // Both spellings reach the runner knob; the value never leaks
-    // into the experiment options (it must not join fingerprints —
-    // chunk size is a residency knob, not a model parameter).
+    // into the experiment options (chunk size is a residency knob,
+    // not a model parameter).
     const DriverArgs space =
         parse({"--pipeline", "--pipeline-chunk", "4096"});
     EXPECT_EQ(space.pipelineChunk, 4096u);
@@ -168,86 +168,68 @@ TEST(DriverCli, ModeFlags)
     EXPECT_TRUE(parse({"--csv", "--verbose"}).verbose);
 }
 
-TEST(DriverCli, StoreFlagsParse)
+TEST(DriverCli, RemovedOptionsAreRejected)
 {
-    const DriverArgs args = parse({"--experiment", "fig7", "--store",
-                                   "results", "--rerun"});
-    EXPECT_EQ(args.storePath, "results");
-    EXPECT_TRUE(args.rerun);
-    EXPECT_FALSE(args.options.has("store"));
-
-    const DriverArgs eq = parse(
-        {"--experiment=fig7", "--store=results", "--baseline=b.jsonl"});
-    EXPECT_EQ(eq.storePath, "results");
-    EXPECT_EQ(eq.baselinePath, "b.jsonl");
-    // --rerun is boolean; the =value spelling must not leak into the
-    // experiment options.
-    parse({"--rerun=1"}, /*expect_ok=*/false);
-}
-
-TEST(DriverCli, RemovedIndexShardsOptionIsRejected)
-{
-    // Every spelling fails with the same message; none may fall
-    // through to the key=value store, where "index-shards" would join
-    // the result-store fingerprint without changing any result.
-    for (const std::vector<const char *> &tokens :
-         {std::vector<const char *>{"--index-shards", "4"},
-          std::vector<const char *>{"--index-shards=4"},
-          std::vector<const char *>{"index-shards=4"}}) {
+    // Every spelling of a removed option fails with that option's
+    // own message, and none falls through to the key=value store
+    // (where "--store=DIR" would otherwise run as if honored).
+    const std::string store_msg =
+        "--store was removed: there is no result store; write the "
+        "report with --json PATH";
+    const std::string rerun_msg =
+        "--rerun was removed: every invocation simulates every run; "
+        "drop the option";
+    const std::string shard_msg =
+        "--shard was removed: a sweep always runs its whole plan; use "
+        "--threads N to spread it over cores";
+    const std::string results_msg =
+        "--results was removed: there is no result store to list, "
+        "show, diff or gc; compare --json reports "
+        "(tools/golden_reports.py)";
+    const std::string baseline_msg =
+        "--baseline was removed: tools/golden_reports.py compares "
+        "reports against the committed goldens in tests/data/golden";
+    const std::string shards_msg =
+        "--index-shards was removed: index-table sharding never "
+        "changed results; drop the option";
+    struct Case
+    {
+        std::vector<const char *> tokens;
+        const std::string &message;
+    };
+    const Case cases[] = {
+        {{"--store", "DIR"}, store_msg},
+        {{"--store=DIR"}, store_msg},
+        {{"--rerun"}, rerun_msg},
+        {{"--shard", "1/2"}, shard_msg},
+        {{"--shard=1/2"}, shard_msg},
+        {{"--results", "list"}, results_msg},
+        {{"--baseline=x"}, baseline_msg},
+        {{"--index-shards", "4"}, shards_msg},
+        {{"--index-shards=4"}, shards_msg},
+        {{"index-shards=4"}, shards_msg},
+    };
+    for (const Case &c : cases) {
         std::vector<const char *> argv = {"driver", "-e", "fig7"};
-        argv.insert(argv.end(), tokens.begin(), tokens.end());
+        argv.insert(argv.end(), c.tokens.begin(), c.tokens.end());
         DriverArgs args;
         std::string error;
         EXPECT_FALSE(parseDriverArgs(static_cast<int>(argv.size()),
                                      const_cast<char **>(argv.data()),
                                      args, error))
-            << tokens[0];
-        EXPECT_EQ(error, "--index-shards was removed: index-table "
-                         "sharding never changed results; drop the "
-                         "option")
-            << tokens[0];
-        EXPECT_FALSE(args.options.has("index-shards")) << tokens[0];
+            << c.tokens[0];
+        EXPECT_EQ(error, c.message) << c.tokens[0];
+        EXPECT_TRUE(args.options.keys().empty()) << c.tokens[0];
     }
 }
 
-TEST(DriverCli, ShardParses)
+TEST(DriverCli, RemovedOptionNamesDoNotShadowOtherOptions)
 {
-    const DriverArgs args = parse(
-        {"--experiment", "fig7", "--store", "s", "--shard", "2/4"});
-    EXPECT_EQ(args.shardIndex, 2u);
-    EXPECT_EQ(args.shardCount, 4u);
-    EXPECT_EQ(parse({"-e", "fig7", "--store=s", "--shard=1/1"})
-                  .shardCount,
-              1u);
-
-    parse({"-e", "fig7", "--store", "s", "--shard", "0/4"},
-          /*expect_ok=*/false);
-    parse({"-e", "fig7", "--store", "s", "--shard", "5/4"},
-          /*expect_ok=*/false);
-    parse({"-e", "fig7", "--store", "s", "--shard", "nope"},
-          /*expect_ok=*/false);
-    // Sharded runs exist only as store records: --store is required.
-    parse({"-e", "fig7", "--shard", "1/4"}, /*expect_ok=*/false);
-}
-
-TEST(DriverCli, ResultsModeCollectsOperands)
-{
-    const DriverArgs diff = parse({"--results", "diff", "before.jsonl",
-                                   "after_store", "rel_tol=0.05"});
-    EXPECT_EQ(diff.resultsCmd, "diff");
-    ASSERT_EQ(diff.resultsArgs.size(), 2u);
-    EXPECT_EQ(diff.resultsArgs[0], "before.jsonl");
-    EXPECT_EQ(diff.resultsArgs[1], "after_store");
-    EXPECT_EQ(diff.options.getDouble("rel_tol", 0.0), 0.05);
-
-    const DriverArgs show =
-        parse({"--results=show", "8dd8", "--store", "results"});
-    EXPECT_EQ(show.resultsCmd, "show");
-    ASSERT_EQ(show.resultsArgs.size(), 1u);
-    EXPECT_EQ(show.resultsArgs[0], "8dd8");
-
-    // Bare operands stay rejected outside results mode.
-    parse({"--experiment", "fig7", "bogus"}, /*expect_ok=*/false);
+    // Matching is by whole option name: a longer name that merely
+    // starts with a removed one is an ordinary key=value option.
+    const DriverArgs args = parse({"storey=1", "--results-dir=x"});
+    EXPECT_EQ(args.options.get("storey", ""), "1");
+    EXPECT_EQ(args.options.get("results-dir", ""), "x");
 }
 
 } // namespace

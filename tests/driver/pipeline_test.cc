@@ -1,25 +1,17 @@
 /** @file Determinism tests of the pipelined run scheduler: every
- *  combination of threads x pipeline (x shard slices, store-backed)
- *  must produce byte-identical reports and identical store
- *  fingerprints — the acceptance gate of the pipeline PR. */
+ *  combination of threads x pipeline x chunk size must produce
+ *  byte-identical reports. */
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <filesystem>
-#include <unistd.h>
 
 #include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "driver/trace_cache.hh"
-#include "results/store.hh"
 
 namespace stms::driver
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 const Experiment *
 testExperiment()
@@ -52,7 +44,7 @@ runSchedule(std::uint32_t threads, bool pipeline,
     const Report report =
         runner.run(*testExperiment(), testOptions(), &stats);
     EXPECT_EQ(stats.pipelined, pipeline);
-    EXPECT_EQ(stats.executed, stats.planned);
+    EXPECT_EQ(stats.runs.size(), stats.planned);
     return report.toJson();
 }
 
@@ -115,113 +107,53 @@ TEST(PipelineDeterminism, BoundedTraceCacheDoesNotChangeResults)
     }
 }
 
+/** toJson() with its "timing" object cut out. */
+std::string
+withoutTiming(const std::string &json)
+{
+    const std::string close = "\n  },\n";
+    const std::size_t start = json.find("  \"timing\": {\n");
+    const std::size_t end = json.find(close, start);
+    if (start == std::string::npos || end == std::string::npos)
+        return json;
+    return json.substr(0, start) + json.substr(end + close.size());
+}
+
 TEST(PipelineDeterminism, TimingNeverEntersTheModelReport)
 {
-    // setTiming changes toJson (the timing key) but leaves the store
-    // record — what fingerprints and snapshot diffs consume —
-    // untouched.
+    // setTiming adds the timing key to toJson() but leaves the model
+    // output — metrics(), tables() and the rest of the JSON, what
+    // the golden reports and determinism gates compare — untouched.
     TraceCache cache;
     ExperimentRunner runner(cache);
     ExecStats stats;
     Report report =
         runner.run(*testExperiment(), testOptions(), &stats);
-    const results::ResultRecord before = report.toResultRecord();
+    const auto metrics_before = report.metrics();
+    const auto tables_before = report.tables();
     const std::string json_before = report.toJson();
 
     ReportTiming timing;
     timing.present = true;
     timing.wallSeconds = stats.wallSeconds;
     timing.threads = stats.threadsResolved;
+    timing.runs = stats.runs;
     report.setTiming(timing);
 
-    const results::ResultRecord after = report.toResultRecord();
-    EXPECT_EQ(before.scalars, after.scalars);
-    EXPECT_NE(report.toJson(), json_before);
-    EXPECT_NE(report.toJson().find("\"timing\""), std::string::npos);
+    EXPECT_EQ(report.metrics(), metrics_before);
+    ASSERT_EQ(report.tables().size(), tables_before.size());
+    for (std::size_t t = 0; t < tables_before.size(); ++t) {
+        EXPECT_EQ(report.tables()[t].title, tables_before[t].title);
+        EXPECT_EQ(report.tables()[t].table.headers(),
+                  tables_before[t].table.headers());
+        EXPECT_EQ(report.tables()[t].table.rows(),
+                  tables_before[t].table.rows());
+    }
+    const std::string json_after = report.toJson();
+    EXPECT_NE(json_after, json_before);
+    EXPECT_NE(json_after.find("\"timing\""), std::string::npos);
     EXPECT_EQ(json_before.find("\"timing\""), std::string::npos);
-}
-
-class PipelineShardTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        dir_ = (fs::temp_directory_path() /
-                ("stms_pipeline_shard_" +
-                 std::to_string(::getpid()) + "_" +
-                 ::testing::UnitTest::GetInstance()
-                     ->current_test_info()
-                     ->name()))
-                   .string();
-        fs::remove_all(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
-    std::string dir_;
-};
-
-TEST_F(PipelineShardTest, ShardedPipelinedSweepMergesBitIdentically)
-{
-    // Execute the sweep as two pipelined, multi-threaded shard
-    // slices into one store, then fold the store into a report: the
-    // bytes and the archived fingerprints must match a serial
-    // store-free sweep exactly.
-    std::string error;
-    auto store = results::ResultStore::open(dir_, error);
-    ASSERT_NE(store, nullptr) << error;
-
-    for (std::uint32_t shard = 1; shard <= 2; ++shard) {
-        TraceCache cache;
-        RunnerConfig config;
-        config.threads = 2;
-        config.pipeline = true;
-        config.store = store.get();
-        config.shardIndex = shard;
-        config.shardCount = 2;
-        ExperimentRunner slice(cache, config);
-        ExecStats stats;
-        slice.execute(*testExperiment(), testOptions(), &stats);
-        EXPECT_EQ(stats.executed + stats.sharded, stats.planned);
-    }
-
-    // The two slices covered the plan exactly once each.
-    TraceCache cache;
-    RunnerConfig merged_config;
-    merged_config.store = store.get();
-    ExperimentRunner merged(cache, merged_config);
-    ExecStats merged_stats;
-    const Report merged_report = merged.run(
-        *testExperiment(), testOptions(), &merged_stats);
-    EXPECT_EQ(merged_stats.resumed, merged_stats.planned);
-    EXPECT_EQ(merged_stats.executed, 0u);
-
-    const std::string serial = runSchedule(1, false);
-    EXPECT_EQ(merged_report.toJson(), serial);
-
-    // Store fingerprints are schedule-independent: a serial
-    // store-backed sweep into a fresh store archives the same
-    // fingerprint set.
-    const std::string other_dir = dir_ + "_serial";
-    fs::remove_all(other_dir);
-    auto serial_store = results::ResultStore::open(other_dir, error);
-    ASSERT_NE(serial_store, nullptr) << error;
-    TraceCache serial_cache;
-    RunnerConfig serial_config;
-    serial_config.store = serial_store.get();
-    ExperimentRunner serial_runner(serial_cache, serial_config);
-    serial_runner.execute(*testExperiment(), testOptions());
-
-    auto fingerprints = [](results::ResultStore &from) {
-        std::vector<std::string> values;
-        for (const auto &record : from.loadAll())
-            values.push_back(record.fingerprint.hex());
-        std::sort(values.begin(), values.end());
-        return values;
-    };
-    EXPECT_EQ(fingerprints(*store), fingerprints(*serial_store));
-    fs::remove_all(other_dir);
+    EXPECT_EQ(withoutTiming(json_after), json_before);
 }
 
 } // namespace

@@ -1,10 +1,9 @@
-/** @file Tests of the result store: record round trips, dedupe,
- *  index rebuild, truncated-tail tolerance, gc compaction, and
- *  atomic file writes. */
+/** @file Tests of atomicWriteFile(), the temp-file-and-rename write
+ *  every JSON sink (reports, traces, sweepbench results) goes
+ *  through. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -18,7 +17,7 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** Fresh store directory per test, removed on teardown. */
+/** Fresh directory per test, removed on teardown. */
 class StoreTest : public ::testing::Test
 {
   protected:
@@ -37,228 +36,8 @@ class StoreTest : public ::testing::Test
 
     void TearDown() override { fs::remove_all(dir_); }
 
-    std::unique_ptr<ResultStore>
-    open()
-    {
-        std::string error;
-        auto store = ResultStore::open(dir_, error);
-        EXPECT_NE(store, nullptr) << error;
-        return store;
-    }
-
     std::string dir_;
 };
-
-ResultRecord
-sampleRecord(std::uint64_t fingerprint = 0x1111111111111111ULL)
-{
-    ResultRecord record;
-    record.kind = kKindExperiment;
-    record.fingerprint = Fingerprint{fingerprint};
-    record.experiment = "fig7";
-    record.params = {{"records", "4096"}, {"workload", "oltp-db2"}};
-    record.gitDescribe = "abc1234";
-    record.timestamp = "2026-07-28T00:00:00Z";
-    record.scalars = {{"coverage", 0.5}, {"ipc", 1.9155272670124155}};
-    Series series;
-    series.title = "Figure 7";
-    series.columns = {"workload", "total"};
-    series.rows = {{"Apache", "0.42"}, {"quote\"d", "1.0"}};
-    record.series = {series};
-    return record;
-}
-
-TEST_F(StoreTest, RecordJsonLineRoundTrips)
-{
-    const ResultRecord original = sampleRecord();
-    const std::string line = original.toJsonLine();
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-
-    ResultRecord parsed;
-    std::string error;
-    ASSERT_TRUE(ResultRecord::parseJsonLine(line, parsed, error))
-        << error;
-    EXPECT_EQ(parsed.kind, original.kind);
-    EXPECT_EQ(parsed.fingerprint, original.fingerprint);
-    EXPECT_EQ(parsed.experiment, original.experiment);
-    EXPECT_EQ(parsed.params, original.params);
-    EXPECT_EQ(parsed.gitDescribe, original.gitDescribe);
-    EXPECT_EQ(parsed.timestamp, original.timestamp);
-    EXPECT_EQ(parsed.scalars, original.scalars);
-    EXPECT_EQ(parsed.series, original.series);
-}
-
-TEST_F(StoreTest, MalformedRecordLinesRejected)
-{
-    ResultRecord parsed;
-    std::string error;
-    EXPECT_FALSE(ResultRecord::parseJsonLine("not json", parsed,
-                                             error));
-    EXPECT_FALSE(ResultRecord::parseJsonLine("[]", parsed, error));
-    EXPECT_FALSE(ResultRecord::parseJsonLine(
-        "{\"schema\": 1, \"kind\": \"experiment\"}", parsed, error));
-    EXPECT_FALSE(ResultRecord::parseJsonLine(
-        "{\"schema\": 99, \"kind\": \"experiment\", \"fingerprint\": "
-        "\"1111111111111111\", \"experiment\": \"x\", \"scalars\": "
-        "{}}",
-        parsed, error));
-}
-
-TEST_F(StoreTest, AppendDedupesOnFingerprint)
-{
-    auto store = open();
-    EXPECT_TRUE(store->append(sampleRecord()));
-    // Exactly once: the identical fingerprint is skipped...
-    EXPECT_FALSE(store->append(sampleRecord()));
-    EXPECT_EQ(store->loadAll().size(), 1u);
-    // ...unless forced (--rerun).
-    EXPECT_TRUE(store->append(sampleRecord(), /*force=*/true));
-    EXPECT_EQ(store->loadAll().size(), 2u);
-    // A different fingerprint is a different configuration.
-    EXPECT_TRUE(store->append(sampleRecord(0x2222222222222222ULL)));
-    EXPECT_EQ(store->size(), 2u);
-}
-
-TEST_F(StoreTest, DedupeSurvivesReopen)
-{
-    open()->append(sampleRecord());
-    auto reopened = open();
-    EXPECT_TRUE(
-        reopened->contains(Fingerprint{0x1111111111111111ULL}));
-    EXPECT_FALSE(reopened->append(sampleRecord()));
-}
-
-TEST_F(StoreTest, WellFormedIndexIsTrustedUntilGc)
-{
-    {
-        auto store = open();
-        store->append(sampleRecord());
-    }
-    // A well-formed index is trusted as-is (that keeps open() cheap
-    // on big archives) — even when it disagrees with the records...
-    {
-        std::ofstream out(fs::path(dir_) / "index.tsv",
-                          std::ios::app);
-        out << "ffffffffffffffff\texperiment\tphantom\t\n";
-    }
-    auto trusting = open();
-    EXPECT_TRUE(
-        trusting->contains(Fingerprint{0xffffffffffffffffULL}));
-    // ...records themselves are unaffected, and gc rebuilds the
-    // index from them, dropping the phantom entry.
-    EXPECT_EQ(trusting->loadAll().size(), 1u);
-    std::string error;
-    EXPECT_EQ(trusting->gc(error), 0) << error;
-    EXPECT_FALSE(
-        trusting->contains(Fingerprint{0xffffffffffffffffULL}));
-    EXPECT_TRUE(
-        trusting->contains(Fingerprint{0x1111111111111111ULL}));
-    // A malformed index is not trusted: it is rebuilt on open.
-    {
-        std::ofstream out(fs::path(dir_) / "index.tsv");
-        out << "zzzz-not-hex\n";
-    }
-    auto rebuilt = open();
-    EXPECT_FALSE(
-        rebuilt->contains(Fingerprint{0xffffffffffffffffULL}));
-    EXPECT_TRUE(
-        rebuilt->contains(Fingerprint{0x1111111111111111ULL}));
-}
-
-TEST_F(StoreTest, FindLatestServesFromCacheAcrossAppends)
-{
-    auto store = open();
-    EXPECT_FALSE(
-        store->findLatest(Fingerprint{0x1111111111111111ULL}));
-    store->append(sampleRecord());
-    auto found = store->findLatest(Fingerprint{0x1111111111111111ULL});
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->scalar("coverage"), 0.5);
-    // The cache tracks forced re-appends (newest wins).
-    ResultRecord updated = sampleRecord();
-    updated.scalars = {{"coverage", 0.75}};
-    store->append(updated, /*force=*/true);
-    EXPECT_EQ(store->findLatest(Fingerprint{0x1111111111111111ULL})
-                  ->scalar("coverage"),
-              0.75);
-}
-
-TEST_F(StoreTest, MissingIndexIsRebuiltFromRecords)
-{
-    {
-        auto store = open();
-        store->append(sampleRecord());
-        store->append(sampleRecord(0x2222222222222222ULL));
-    }
-    fs::remove(fs::path(dir_) / "index.tsv");
-    auto reopened = open();
-    EXPECT_EQ(reopened->size(), 2u);
-    EXPECT_FALSE(reopened->append(sampleRecord()));
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.tsv"));
-}
-
-TEST_F(StoreTest, TruncatedTailLineIsIgnored)
-{
-    {
-        auto store = open();
-        store->append(sampleRecord());
-    }
-    // Simulate an interrupted append: half a record, no newline.
-    {
-        std::ofstream out(fs::path(dir_) / "records.jsonl",
-                          std::ios::app | std::ios::binary);
-        out << "{\"schema\": 1, \"kind\": \"experim";
-    }
-    // Opening heals the tail (terminates the fragment) so appends
-    // cannot glue onto it; loads skip the malformed line.
-    auto reopened = open();
-    std::size_t dropped = 0;
-    EXPECT_EQ(reopened->loadAll(&dropped).size(), 1u);
-    EXPECT_EQ(dropped, 1u);
-    EXPECT_TRUE(reopened->append(sampleRecord(0x3333333333333333ULL)));
-    EXPECT_EQ(reopened->loadAll().size(), 2u);
-    // gc drops the fragment line and keeps both good records.
-    std::string error;
-    EXPECT_EQ(reopened->gc(error), 1) << error;
-    dropped = 42;
-    EXPECT_EQ(reopened->loadAll(&dropped).size(), 2u);
-    EXPECT_EQ(dropped, 0u);
-}
-
-TEST_F(StoreTest, LoadLatestPrefersNewestDuplicate)
-{
-    auto store = open();
-    store->append(sampleRecord());
-    ResultRecord updated = sampleRecord();
-    updated.scalars = {{"coverage", 0.75}};
-    store->append(updated, /*force=*/true);
-
-    const auto latest = store->loadLatest();
-    ASSERT_EQ(latest.size(), 1u);
-    EXPECT_EQ(latest.at(0x1111111111111111ULL).scalar("coverage"),
-              0.75);
-}
-
-TEST_F(StoreTest, GcKeepsLatestPerFingerprint)
-{
-    auto store = open();
-    store->append(sampleRecord());
-    ResultRecord updated = sampleRecord();
-    updated.scalars = {{"coverage", 0.75}};
-    store->append(updated, /*force=*/true);
-    store->append(sampleRecord(0x2222222222222222ULL));
-
-    std::string error;
-    EXPECT_EQ(store->gc(error), 1) << error;
-    const auto records = store->loadAll();
-    ASSERT_EQ(records.size(), 2u);
-    // The surviving 0x1111... record is the updated one.
-    for (const ResultRecord &record : records) {
-        if (record.fingerprint.value == 0x1111111111111111ULL) {
-            EXPECT_EQ(record.scalar("coverage"), 0.75);
-        }
-    }
-}
 
 TEST_F(StoreTest, AtomicWriteLeavesNoTempBehind)
 {
@@ -276,25 +55,6 @@ TEST_F(StoreTest, AtomicWriteLeavesNoTempBehind)
     std::string content2((std::istreambuf_iterator<char>(again)),
                          std::istreambuf_iterator<char>());
     EXPECT_EQ(content2, "2");
-}
-
-TEST_F(StoreTest, SnapshotLoadsFromDirOrFile)
-{
-    auto store = open();
-    store->append(sampleRecord());
-
-    std::vector<ResultRecord> from_dir;
-    std::string error;
-    ASSERT_TRUE(loadSnapshot(dir_, from_dir, error)) << error;
-    EXPECT_EQ(from_dir.size(), 1u);
-
-    std::vector<ResultRecord> from_file;
-    ASSERT_TRUE(loadSnapshot(store->recordsPath(), from_file, error))
-        << error;
-    EXPECT_EQ(from_file.size(), 1u);
-
-    std::vector<ResultRecord> missing;
-    EXPECT_FALSE(loadSnapshot(dir_ + "/nope.jsonl", missing, error));
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for --mem-backend spec parsing and canonicalization.
- * canonical() joins the result-store fingerprint, so the invariants
- * here (defaults canonicalize away, spellings collapse, errors are
- * rejected early) protect fingerprint stability across releases.
+ * canonical() is the "mem-backend" option the driver passes to the
+ * experiments, so the invariants here (defaults canonicalize away,
+ * spellings collapse, errors are rejected early) keep
+ * `--mem-backend fixed` output identical to no flag.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ TEST(MemBackendSpec, KindsParse)
 
 TEST(MemBackendSpec, ExplicitDefaultsCanonicalizeAway)
 {
-    // Spelling out a default value must fingerprint identically to
+    // Spelling out a default value must canonicalize identically to
     // omitting it.
     EXPECT_EQ(parseOk("queued,channels=2").canonical(), "queued");
     EXPECT_EQ(parseOk("dram,ranks=1,banks=8,row-bytes=8192").canonical(),
@@ -115,6 +116,37 @@ TEST(MemBackendSpec, RejectsBadInput)
     parseFail("dram,frobnicate=1");     // Unknown key.
     parseFail("queued,channels");       // Missing '='.
     parseFail("queued,=2");             // Missing key.
+    // strtoull reads "-1" as 2^64 - 1 and the count fields are 32
+    // bits wide: unchecked, these schedule events in the past, abort
+    // in bad_alloc, or run a different backend than asked for.
+    parseFail("fixed,transfer=-1");
+    parseFail("fixed,latency=-1");
+    parseFail("fixed,latency=+5");
+    parseFail("fixed,latency= 5");
+    parseFail("fixed,latency=18446744073709551616");  // ERANGE.
+    parseFail("queued,channels=-1");
+    parseFail("queued,channels=99999999999");
+    parseFail("queued,channels=4294967296");  // 0 in 32 bits.
+}
+
+TEST(MemBackendSpec, LimitsAreInclusive)
+{
+    EXPECT_EQ(parseOk("queued,channels=64").channels, 64u);
+    parseFail("queued,channels=65");
+    EXPECT_EQ(parseOk("fixed,latency=1048576").accessLatency,
+              kMaxMemCycles);
+    parseFail("fixed,latency=1048577");
+    parseFail("dram,trcd=1048577");
+    EXPECT_EQ(parseOk("dram,row-bytes=1048576").rowBytes,
+              kMaxRowBytes);
+    parseFail("dram,row-bytes=1048640");
+    EXPECT_EQ(parseOk("dram,channels=8,ranks=4,banks=128").channels,
+              8u);  // 4096 banks in all.
+    const std::string error =
+        parseFail("dram,channels=8,ranks=4,banks=256");
+    EXPECT_NE(error.find("channels x ranks x banks"), std::string::npos)
+        << error;
+    parseFail("dram,banks=4097");
 }
 
 TEST(MemBackendSpec, FailedParseLeavesSpecUntouched)

@@ -179,7 +179,7 @@ TEST(LogStress, ProgressMeterNoteRunRacesLogSink)
     for (int t = 0; t < 4; ++t) {
         workers.emplace_back([&meter, t] {
             for (int i = 0; i < 3 * 50; ++i) {
-                meter.noteRun(1000, 0.001, 0.01, 0.001);
+                meter.noteRun(1000, 0.001, 0.01);
                 if (i % 37 == 0)
                     stms_debug("run %d done (worker %d)", i, t);
                 if (i % 97 == 0)

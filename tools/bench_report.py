@@ -284,7 +284,7 @@ def main():
     }
     for mode in ("serial", "pipeline"):
         for field in ("records_per_sec", "wall_s", "acquire_s",
-                      "simulate_s", "encode_s", "peak_rss_kb"):
+                      "simulate_s", "peak_rss_kb"):
             entry[f"{mode}_{field}"] = metrics[f"{mode}.{field}"]
     # Chunked-pipeline residency telemetry (PR 6): the chunk size the
     # sweep ran with, how many chunks were ever live at once, and the

@@ -42,8 +42,7 @@ def main() -> int:
     # Docs other pages or CI depend on by name: their *absence* must
     # fail too, not just dead links to them.
     for required in ("ARCHITECTURE.md", "OBSERVABILITY.md", "PERF.md",
-                     "RESULTS.md", "STATIC_ANALYSIS.md",
-                     "TRACE_FORMATS.md"):
+                     "STATIC_ANALYSIS.md", "TRACE_FORMATS.md"):
         if root / "docs" / required not in files:
             files.append(root / "docs" / required)
     errors = []

@@ -91,23 +91,3 @@ def extract_call(text: str, open_paren: int) -> str:
             if depth == 0:
                 return text[open_paren + 1 : i]
     return text[open_paren + 1 :]
-
-
-def function_body(text: str, signature_re: str) -> tuple[int, str]:
-    """Find a function by signature regex; return (start_offset,
-    body_text) of its brace-matched body, or (-1, "")."""
-    match = re.search(signature_re, text)
-    if not match:
-        return -1, ""
-    brace = text.find("{", match.end())
-    if brace < 0:
-        return -1, ""
-    depth = 0
-    for i in range(brace, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return brace, text[brace : i + 1]
-    return -1, ""

@@ -1,15 +1,6 @@
-// Fixture: toResultRecord leaking the timing block into store
-// records (fingerprint-safety rule 1).
+// Fixture: the one renderer may emit the "timing" key
+// (fingerprint-safety rule 1 stays quiet here).
 #include <string>
-
-results::ResultRecord
-Report::toResultRecord() const
-{
-    results::ResultRecord record;
-    record.scalars = metrics_;
-    record.wall = timing_.wallSeconds;  // line 10: timing_ leak.
-    return record;
-}
 
 std::string
 Report::toJson() const
