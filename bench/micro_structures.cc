@@ -256,7 +256,7 @@ BENCHMARK(BM_FlatAddrMapChurn);
  * Per-run structure teardown/rebuild cost: the allocation storm at
  * every sweep point. Arg(0)=0 takes it from the global heap (no
  * arena installed), Arg(0)=1 from a reused ScopedRunArena — the
- * difference is what --pipeline workers stop paying per run.
+ * difference is what sweep workers stop paying per run.
  */
 void
 BM_ArenaRunCycle(benchmark::State &state)

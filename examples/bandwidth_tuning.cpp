@@ -33,7 +33,9 @@ main(int argc, char **argv)
         return 1;
     }
     const auto records = options.getUint("records", 256 * 1024);
-    const Trace &trace = driver::globalTraceCache().get(name, records);
+    const driver::TraceCache::Handle handle =
+        driver::globalTraceCache().acquire(name, records);
+    const Trace &trace = handle.trace();
 
     RunOutput base = runTrace(trace, RunConfig{});
     std::printf("%s, base IPC %.3f, memory utilization %.0f%%\n\n",

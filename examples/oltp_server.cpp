@@ -35,8 +35,9 @@ main(int argc, char **argv)
     practical.indexBytes = options.getUint("index", 16ULL << 20);
 
     for (const char *name : {"oltp-db2", "oltp-oracle"}) {
-        const Trace &trace =
-            driver::globalTraceCache().get(name, records);
+        const driver::TraceCache::Handle handle =
+            driver::globalTraceCache().acquire(name, records);
+        const Trace &trace = handle.trace();
 
         RunOutput base = runTrace(trace, RunConfig{});
         RunOutput magic =

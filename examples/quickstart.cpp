@@ -34,8 +34,9 @@ main(int argc, char **argv)
     }
 
     const auto records = options.getUint("records", 128 * 1024);
-    const Trace &trace =
-        driver::globalTraceCache().get(workload, records);
+    const driver::TraceCache::Handle handle =
+        driver::globalTraceCache().acquire(workload, records);
+    const Trace &trace = handle.trace();
     std::printf("workload %s: %llu records, %llu distinct blocks\n",
                 workload.c_str(),
                 static_cast<unsigned long long>(trace.totalRecords()),

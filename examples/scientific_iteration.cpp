@@ -32,7 +32,9 @@ main(int argc, char **argv)
     }
     const auto records = options.getUint("records", 256 * 1024);
     const WorkloadSpec spec = makeWorkload(name, records);
-    const Trace &trace = driver::globalTraceCache().get(name, records);
+    const driver::TraceCache::Handle handle =
+        driver::globalTraceCache().acquire(name, records);
+    const Trace &trace = handle.trace();
 
     std::printf("%s: iteration stream of %u blocks per core "
                 "(plus %0.f%% noise/on-chip work)\n\n",

@@ -16,7 +16,7 @@ thread_local Arena *tls_current_arena = nullptr;
 /**
  * The thread's cached run arena, shared by every ScopedRunArena the
  * thread ever opens — this is what carries warm blocks from one run
- * to the next on a pipeline worker.
+ * to the next on a worker thread.
  */
 Arena &
 threadRunArena()

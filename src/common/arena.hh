@@ -6,7 +6,7 @@
  * Every run constructs, fills, and tears down the same family of
  * structures — index-table key arrays, history windows, MSHR tables,
  * prefetch buffers, stream bookkeeping. Taking those from the global
- * heap makes `--pipeline --threads N` serialize on the allocator and
+ * heap makes `--threads N` workers serialize on the allocator and
  * re-faults fresh pages every run. The arena replaces that with a
  * thread-local bump pointer: blocks are grabbed from the OS once,
  * handed out with two adds, and *reused in place* on reset, so run N+1
@@ -251,62 +251,6 @@ class ArenaBuffer
     T *data_ = nullptr;
     std::size_t size_ = 0;
     bool heap_ = false;
-};
-
-/**
- * std::allocator drop-in bound to one explicit Arena (not the
- * thread-local current one): allocation must happen on the arena
- * owner's thread; deallocate() is a no-op, so containers handed to
- * *other* threads can be destroyed there without ever touching the
- * arena — the pipeline's chunk hand-off relies on exactly that.
- * A default-constructed (null-arena) allocator degrades to the heap.
- */
-template <typename T>
-class ArenaAllocator
-{
-  public:
-    using value_type = T;
-    using propagate_on_container_move_assignment = std::true_type;
-    using propagate_on_container_swap = std::true_type;
-    using is_always_equal = std::false_type;
-
-    ArenaAllocator() = default;
-    explicit ArenaAllocator(Arena *arena) : arena_(arena) {}
-
-    template <typename U>
-    ArenaAllocator(const ArenaAllocator<U> &other) noexcept
-        : arena_(other.arena())
-    {}
-
-    T *
-    allocate(std::size_t count)
-    {
-        if (arena_ != nullptr) {
-            return static_cast<T *>(
-                arena_->allocate(count * sizeof(T), alignof(T)));
-        }
-        return static_cast<T *>(::operator new(count * sizeof(T)));
-    }
-
-    void
-    deallocate(T *pointer, std::size_t) noexcept
-    {
-        if (arena_ == nullptr)
-            ::operator delete(pointer);
-        // Arena storage is reclaimed wholesale at reset.
-    }
-
-    Arena *arena() const { return arena_; }
-
-    template <typename U>
-    bool
-    operator==(const ArenaAllocator<U> &other) const noexcept
-    {
-        return arena_ == other.arena();
-    }
-
-  private:
-    Arena *arena_ = nullptr;
 };
 
 } // namespace stms

@@ -47,15 +47,6 @@ Options::get(const std::string &key, const std::string &fallback) const
     return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t
-Options::getInt(const std::string &key, std::int64_t fallback) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
-}
-
 std::uint64_t
 Options::getUint(const std::string &key, std::uint64_t fallback) const
 {
@@ -71,7 +62,12 @@ Options::getDouble(const std::string &key, double fallback) const
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0')
+        stms_fatal("bad number '%s' for key '%s'", text, key.c_str());
+    return value;
 }
 
 bool

@@ -36,9 +36,10 @@ class Options
 
     std::string get(const std::string &key,
                     const std::string &fallback) const;
-    std::int64_t getInt(const std::string &key, std::int64_t fallback) const;
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t fallback) const;
+    /** The whole value must be a number: an empty or partly numeric
+     *  value is fatal, never a silent 0. */
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback) const;
 

@@ -19,8 +19,6 @@ namespace
 
 const char kUsage[] =
     "usage: driver [--list] [--experiment NAME]... [--threads N]\n"
-    "              [--pipeline] [--pipeline-chunk N]\n"
-    "              [--trace-cache-mb N]\n"
     "              [--mem-backend SPEC]\n"
     "              [--trace PATH[,format=...]]...\n"
     "              [--json PATH|-] [--no-timing] [--csv] [--verbose]\n"
@@ -35,26 +33,6 @@ const char kUsage[] =
     "                    0 = auto-detect hardware concurrency; "
     "results are\n"
     "                    bit-identical to serial for every N)\n"
-    "  --pipeline        stage-pipelined scheduling: trace "
-    "generation for\n"
-    "                    run k+1 overlaps simulation of run k over "
-    "bounded\n"
-    "                    queues (results stay bit-identical to "
-    "serial)\n"
-    "  --pipeline-chunk N  records per streamed chunk in the "
-    "pipelined\n"
-    "                    schedule (default 8192); bounds pipeline "
-    "residency\n"
-    "                    to O(lanes x N) records per run — model "
-    "output is\n"
-    "                    byte-identical for every N\n"
-    "  --trace-cache-mb N  bound the synthetic-trace cache to N MiB "
-    "(LRU\n"
-    "                    eviction of unpinned traces; 0 = no "
-    "caching;\n"
-    "                    default unbounded); evicted traces "
-    "regenerate\n"
-    "                    bit-identically on demand\n"
     "  --mem-backend SPEC  memory timing model: "
     "NAME[,key=val...] with NAME\n"
     "                    in fixed|queued|dram (e.g. 'queued,channels=4',\n"
@@ -85,11 +63,11 @@ const char kUsage[] =
     "  --verbose         shorthand for --log-level debug\n"
     "  --trace-out FILE  write a Perfetto/chrome://tracing JSON trace "
     "of the\n"
-    "                    sweep (run lifecycles, pipeline stage spans, "
-    "queue\n"
-    "                    and cache counter tracks); never perturbs "
-    "model\n"
-    "                    output (docs/OBSERVABILITY.md)\n"
+    "                    sweep (run lifecycles, stage spans, the "
+    "trace-cache\n"
+    "                    counter track); never perturbs model "
+    "output\n"
+    "                    (docs/OBSERVABILITY.md)\n"
     "  --sample-every N  snapshot simulator counters every N accessed\n"
     "                    cycles into per-run time series under the "
     "report's\n"
@@ -139,27 +117,6 @@ applyThreads(const std::string &value, DriverArgs &args,
 }
 
 /**
- * Apply --pipeline-chunk: records per streamed chunk, strictly
- * positive (a zero chunk could never make progress; 0 as "default"
- * stays an internal RunnerConfig spelling, not a CLI one). The cap
- * matches --threads-style sanity bounds: 2^30 records is ~16 GiB of
- * chunk, far beyond any real use.
- */
-bool
-applyPipelineChunk(const std::string &value, DriverArgs &args,
-                   std::string &error)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed < 1 ||
-        parsed > (1ULL << 30)) {
-        error = "--pipeline-chunk needs an integer in [1, 2^30]";
-        return false;
-    }
-    args.pipelineChunk = parsed;
-    return true;
-}
-
-/**
  * Apply --sample-every: counter-snapshot epoch in accessed cycles.
  * 0 is the explicit "off" spelling. The value steers observation
  * only — it flows through RunnerConfig (never Options), so it cannot
@@ -190,20 +147,6 @@ applyLogLevel(const std::string &value, DriverArgs &args,
         return false;
     }
     args.logLevel = static_cast<int>(level);
-    return true;
-}
-
-/** Apply --trace-cache-mb: MiB bound, 0 = no caching. */
-bool
-applyTraceCacheMb(const std::string &value, DriverArgs &args,
-                  std::string &error)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > (1ULL << 24)) {
-        error = "--trace-cache-mb needs an integer in [0, 2^24]";
-        return false;
-    }
-    args.traceCacheMb = parsed;
     return true;
 }
 
@@ -243,6 +186,17 @@ constexpr RemovedOption kRemovedOptions[] = {
     {"baseline",
      "--baseline was removed: tools/golden_reports.py compares reports "
      "against the committed goldens in tests/data/golden"},
+    // The prefixes need no ordering: a match must end at the name or
+    // at '=', so "pipeline" never claims "pipeline-chunk".
+    {"pipeline",
+     "--pipeline was removed: fan-out is the only schedule and gives "
+     "the same results; use --threads N"},
+    {"pipeline-chunk",
+     "--pipeline-chunk was removed: there is no pipelined schedule to "
+     "chunk; drop the option"},
+    {"trace-cache-mb",
+     "--trace-cache-mb was removed: the trace cache keeps each trace "
+     "it generates; drop the option"},
 };
 
 /**
@@ -297,12 +251,9 @@ makeReportTiming(const ExecStats &stats)
     timing.acquireSeconds = stats.acquireSeconds;
     timing.simulateSeconds = stats.simulateSeconds;
     timing.threads = stats.threadsResolved;
-    timing.pipelined = stats.pipelined;
     timing.records = stats.recordsProcessed;
     timing.recordsPerSecond = stats.recordsPerSecond();
     timing.peakRssKb = peakRssKb();
-    timing.chunkRecords = stats.chunkRecords;
-    timing.peakResidentChunks = stats.peakResidentChunks;
     timing.sampleEvery = stats.sampleEvery;
     timing.sampleColumns = stats.sampleColumns;
     timing.runs = stats.runs;
@@ -417,17 +368,10 @@ runExperiments(const DriverArgs &args)
         selected.push_back(experiment);
     }
 
-    if (args.traceCacheMb != DriverArgs::kCacheUnset) {
-        globalTraceCache().setCapacity(args.traceCacheMb *
-                                       (1ULL << 20));
-    }
-
     TraceSinkGuard trace_sink(args.traceOutPath);
 
     RunnerConfig runner_config;
     runner_config.threads = args.threads;
-    runner_config.pipeline = args.pipeline;
-    runner_config.pipelineChunkRecords = args.pipelineChunk;
     runner_config.sampleEvery = args.sampleEvery;
     runner_config.progress = args.progress;
     ExperimentRunner runner(globalTraceCache(), runner_config);
@@ -530,16 +474,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
                         return false;
                     continue;
                 }
-                if (key == "trace-cache-mb") {
-                    if (!applyTraceCacheMb(value, args, error))
-                        return false;
-                    continue;
-                }
-                if (key == "pipeline-chunk") {
-                    if (!applyPipelineChunk(value, args, error))
-                        return false;
-                    continue;
-                }
                 if (key == "json") {
                     args.jsonPath = value;
                     continue;
@@ -572,7 +506,7 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
                 // the same silent fallthrough this block prevents.
                 if (key == "list" || key == "csv" || key == "help" ||
                     key == "h" || key == "verbose" || key == "v" ||
-                    key == "pipeline" || key == "no-timing" ||
+                    key == "no-timing" ||
                     key == "progress" || key == "no-progress") {
                     error = "--" + key + " does not take a value";
                     return false;
@@ -588,14 +522,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             args.csv = true;
         } else if (token == "--verbose" || token == "-v") {
             args.verbose = true;
-        } else if (token == "--pipeline") {
-            args.pipeline = true;
-        } else if (token == "--pipeline-chunk") {
-            const char *value = nextValue("--pipeline-chunk");
-            if (!value)
-                return false;
-            if (!applyPipelineChunk(value, args, error))
-                return false;
         } else if (token == "--no-timing") {
             args.timing = false;
         } else if (token == "--progress") {
@@ -618,12 +544,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args,
             if (!value)
                 return false;
             if (!applyLogLevel(value, args, error))
-                return false;
-        } else if (token == "--trace-cache-mb") {
-            const char *value = nextValue("--trace-cache-mb");
-            if (!value)
-                return false;
-            if (!applyTraceCacheMb(value, args, error))
                 return false;
         } else if (token == "--experiment" || token == "-e") {
             const char *value = nextValue("--experiment");

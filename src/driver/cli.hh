@@ -34,20 +34,9 @@ struct DriverArgs
     std::vector<std::string> experiments;  ///< Names, or {"all"}.
     /** Worker threads; 0 = auto (hardware_concurrency). */
     std::uint32_t threads = 1;
-    /** Stage-pipelined scheduling (acquire ahead of simulate). */
-    bool pipeline = false;
-    /** Records per streamed pipeline chunk; 0 = the engine default
-     *  (kDefaultPipelineChunkRecords). Residency/overlap knob only —
-     *  model output is byte-identical for every value. */
-    std::uint64_t pipelineChunk = 0;
     /** Attach wall-clock timing to reports (--no-timing disables,
      *  for byte-compare determinism gates). */
     bool timing = true;
-    /** TraceCache capacity in MiB; kCacheUnset keeps the unbounded
-     *  default, 0 disables caching. */
-    static constexpr std::uint64_t kCacheUnset =
-        ~static_cast<std::uint64_t>(0);
-    std::uint64_t traceCacheMb = kCacheUnset;
     std::string jsonPath;  ///< Empty = no JSON; "-" = stdout.
     bool csv = false;      ///< Emit tables as CSV instead of aligned.
     bool list = false;

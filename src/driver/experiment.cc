@@ -36,8 +36,10 @@ plannedRecords(const Options &options, std::uint64_t fallback)
 {
     if (options.has("records"))
         return options.getUint("records", fallback);
+    // Parsed like records=: a negative or junk value is fatal, and 0
+    // (or an empty value) keeps the fallback.
     if (const char *env = std::getenv("STMS_BENCH_RECORDS")) {
-        const std::uint64_t value = std::strtoull(env, nullptr, 0);
+        const std::uint64_t value = parseSize(env);
         if (value > 0)
             return value;
     }

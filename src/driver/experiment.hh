@@ -112,7 +112,8 @@ class ExperimentBase : public Experiment
 
 /**
  * Trace length for a plan: the "records" option when present, else
- * the STMS_BENCH_RECORDS environment override, else @p fallback.
+ * the STMS_BENCH_RECORDS environment override (parseSize syntax; 0
+ * means unset), else @p fallback.
  */
 std::uint64_t plannedRecords(const Options &options,
                              std::uint64_t fallback);

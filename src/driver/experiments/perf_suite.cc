@@ -5,13 +5,12 @@
  *
  * Runs a pinned sweep (the fig7 plan — the full standard suite at
  * both index-update samplings, functional mode) through the run
- * scheduler in two schedules:
+ * runner at two worker counts:
  *
- *   serial     --threads 1, no pipeline — the reference schedule
- *              every determinism gate is defined against;
- *   pipelined  --pipeline with a small worker pool — trace
- *              generation overlapping simulation over bounded
- *              queues.
+ *   serial  --threads 1 — the reference schedule every determinism
+ *           gate is defined against;
+ *   fanout  --threads N (option threads=, default 2) — the same
+ *           fan-out schedule over a worker pool.
  *
  * and reports records/sec, per-stage wall time, and peak RSS for
  * each. This is a measurement harness: plan() is empty and the work
@@ -19,7 +18,7 @@
  *
  * Determinism is gated where the numbers are made: the encoded
  * RunOutput scalars of every run must be bit-identical across the
- * two schedules (asserted in-binary), and the digest over them is
+ * two worker counts (asserted in-binary), and the digest over them is
  * reported as model_digest_hi/lo so CI can compare across
  * invocations. Only the *_s / *_per_sec / *_kb / *_ratio timing
  * metrics vary run to run; gates exclude them (docs/PERF.md).
@@ -67,7 +66,7 @@ class PinnedSweep final : public ExperimentBase
     std::vector<RunSpec> plan_;
 };
 
-/** One schedule's measurement. */
+/** One worker count's measurement. */
 struct ModeResult
 {
     ExecStats stats;
@@ -86,7 +85,7 @@ class PerfSuite final : public ExperimentBase
         : ExperimentBase("perf_suite",
                          "simulator throughput on a pinned sweep: "
                          "records/sec + stage timings, serial vs "
-                         "pipelined (determinism-gated)")
+                         "fan-out (determinism-gated)")
     {}
 
     std::vector<RunSpec>
@@ -111,29 +110,24 @@ class PerfSuite final : public ExperimentBase
         Options sweep_options = options;
         if (!sweep_options.has("records"))
             sweep_options.set("records", "65536");
-        const std::uint32_t pipeline_threads = static_cast<
+        const std::uint32_t fanout_threads = static_cast<
             std::uint32_t>(options.getUint("threads", 2));
 
         const std::vector<RunSpec> plan = fig7->plan(sweep_options);
         std::uint64_t plan_records = 0;
         PinnedSweep sweep("perf_sweep", plan);
 
-        auto runMode = [&](bool pipelined) {
-            // A fresh cache per mode: generation cost is part of the
-            // measured pipeline (it is exactly what the pipelined
-            // schedule overlaps with simulation).
+        auto runMode = [&](std::uint32_t threads) {
+            // A fresh cache per mode: generation cost is part of
+            // each measured sweep.
             TraceCache cache;
             RunnerConfig config;
-            config.threads = pipelined ? pipeline_threads : 1;
-            config.pipeline = pipelined;
-            config.pipelineChunkRecords =
-                options.getUint("pipeline-chunk", 0);
+            config.threads = threads;
             ExperimentRunner runner(cache, config);
             ModeResult result;
-            // Isolate this schedule's RSS high-water mark so the
-            // pipeline-vs-serial comparison is honest: without the
-            // reset, whichever mode runs second inherits the first's
-            // peak and the RSS gate (docs/PERF.md) measures nothing.
+            // Isolate this schedule's RSS high-water mark: without
+            // the reset, whichever mode runs second inherits the
+            // first's peak.
             result.rssIsolated = resetPeakRss();
             const RunSet runs =
                 runner.execute(sweep, sweep_options, &result.stats);
@@ -146,20 +140,20 @@ class PerfSuite final : public ExperimentBase
             return result;
         };
 
-        const ModeResult serial = runMode(false);
-        const ModeResult pipelined = runMode(true);
+        const ModeResult serial = runMode(1);
+        const ModeResult fanout = runMode(fanout_threads);
         plan_records = serial.stats.recordsProcessed;
 
         // The determinism gate, enforced where the numbers are made:
-        // the pipelined schedule must reproduce the serial model
-        // output bit for bit.
-        stms_assert(pipelined.digest == serial.digest,
-                    "pipelined sweep diverged from serial "
+        // the fan-out sweep must reproduce the serial model output
+        // bit for bit.
+        stms_assert(fanout.digest == serial.digest,
+                    "fan-out sweep diverged from serial "
                     "(digest %016llx != %016llx)",
-                    static_cast<unsigned long long>(pipelined.digest),
+                    static_cast<unsigned long long>(fanout.digest),
                     static_cast<unsigned long long>(serial.digest));
-        stms_assert(pipelined.stats.recordsProcessed == plan_records,
-                    "pipelined sweep processed a different record "
+        stms_assert(fanout.stats.recordsProcessed == plan_records,
+                    "fan-out sweep processed a different record "
                     "count");
 
         Report out(name());
@@ -198,41 +192,26 @@ class PerfSuite final : public ExperimentBase
                             1024.0)});
         };
         addMode("serial", serial);
-        addMode("pipeline", pipelined);
-        // "_ratio" marks these as timing-derived (excluded from
-        // determinism gates alongside _s / _per_sec / _kb / _chunks).
-        out.addMetric("pipeline_speedup_ratio",
-                      pipelined.stats.recordsPerSecond() /
+        addMode("fanout", fanout);
+        // "_ratio" marks this as timing-derived (excluded from
+        // determinism gates alongside _s / _per_sec / _kb).
+        out.addMetric("fanout_speedup_ratio",
+                      fanout.stats.recordsPerSecond() /
                           std::max(serial.stats.recordsPerSecond(),
                                    1e-9));
-        out.addMetric(
-            "pipeline_rss_ratio",
-            static_cast<double>(pipelined.peakRssKb) /
-                std::max(static_cast<double>(serial.peakRssKb), 1.0));
-
-        // Chunked-pipeline residency telemetry. The chunk count is
-        // scheduling-dependent (it varies with thread interleaving),
-        // so the "_chunks" suffix keeps it out of determinism gates.
-        out.addMetric("pipeline.chunk_records_chunks",
-                      static_cast<double>(
-                          pipelined.stats.chunkRecords));
-        out.addMetric("pipeline.peak_resident_chunks",
-                      static_cast<double>(
-                          pipelined.stats.peakResidentChunks));
 
         out.addTable("perf_suite: pinned fig7 sweep, serial vs "
-                     "pipelined schedule",
+                     "fan-out",
                      std::move(table));
         out.addNote(
             "Shape check: model_digest_* is bit-identical across "
-            "schedules (asserted in-binary);\nonly the *_s / "
-            "*_per_sec / *_kb / *_ratio / *_chunks timing metrics "
-            "may differ between runs.");
+            "worker counts (asserted in-binary);\nonly the *_s / "
+            "*_per_sec / *_kb / *_ratio timing metrics may differ "
+            "between runs.");
         const bool rss_isolated =
-            serial.rssIsolated && pipelined.rssIsolated;
+            serial.rssIsolated && fanout.rssIsolated;
         // Environment fact, not model output ("_ratio" excludes it
-        // from gates): tools/bench_report.py only enforces the RSS
-        // gate when the per-schedule watermark reset worked.
+        // from gates): whether each peak RSS is its own schedule's.
         out.addMetric("rss_isolated_ratio", rss_isolated ? 1.0 : 0.0);
         out.addNote(
             rss_isolated

@@ -58,18 +58,12 @@ Report::toJson() const
                ",\n";
         out += "    \"threads\": " +
                std::to_string(timing_.threads) + ",\n";
-        out += std::string("    \"pipeline\": ") +
-               (timing_.pipelined ? "true" : "false") + ",\n";
         out += "    \"records\": " +
                std::to_string(timing_.records) + ",\n";
         out += "    \"records_per_sec\": " +
                jsonNumber(timing_.recordsPerSecond) + ",\n";
         out += "    \"peak_rss_kb\": " +
                std::to_string(timing_.peakRssKb) + ",\n";
-        out += "    \"chunk_records\": " +
-               std::to_string(timing_.chunkRecords) + ",\n";
-        out += "    \"peak_resident_chunks\": " +
-               std::to_string(timing_.peakResidentChunks) + ",\n";
         // Sampler keys render only when sampling ran: default timing
         // output stays byte-identical to the pre-telemetry format.
         if (timing_.sampleEvery > 0) {
@@ -98,9 +92,7 @@ Report::toJson() const
                    jsonNumber(run.acquireSeconds) +
                    ", \"simulate_s\": " +
                    jsonNumber(run.simulateSeconds) + ", \"wall_s\": " +
-                   jsonNumber(run.wallSeconds) +
-                   ", \"peak_resident_chunks\": " +
-                   std::to_string(run.peakResidentChunks);
+                   jsonNumber(run.wallSeconds);
             if (!run.samples.empty()) {
                 // Rows as [accesses, cycle, v0, v1, ...] matching
                 // sample_columns; tools/telemetry_report.py renders

@@ -47,9 +47,6 @@ struct ReportRunTiming
     double simulateSeconds = 0;  ///< System construction + run.
     double wallSeconds = 0;      ///< Sum of the stages.
     std::uint64_t records = 0;   ///< Trace records simulated.
-    /** Peak record chunks resident for this run (chunked pipeline
-     *  schedule only; 0 elsewhere). */
-    std::uint64_t peakResidentChunks = 0;
     /** Epoch-sampled counter series (`--sample-every`; empty when
      *  sampling is off). Lives under the timing key like every other
      *  non-model observation, so it never perturbs the model output
@@ -73,18 +70,9 @@ struct ReportTiming
     double acquireSeconds = 0;
     double simulateSeconds = 0;
     std::uint32_t threads = 0;  ///< Resolved worker count.
-    bool pipelined = false;
     std::uint64_t records = 0;  ///< Trace records simulated.
     double recordsPerSecond = 0;
     std::uint64_t peakRssKb = 0;
-    /** Records per streamed chunk (chunked pipeline; 0 = whole-trace
-     *  hand-off / serial schedule). */
-    std::uint64_t chunkRecords = 0;
-    /** Peak chunks resident at once across all concurrent runs — the
-     *  pipeline's bounded-residency witness. A regression here is the
-     *  RSS blow-up BENCH_5 caught only post-hoc, now visible in every
-     *  timing artifact. */
-    std::uint64_t peakResidentChunks = 0;
     /** Sampling epoch in accessed cycles (0 = sampling off; only a
      *  non-zero epoch renders sampler keys, so default timing JSON
      *  is byte-identical to the pre-telemetry format). */

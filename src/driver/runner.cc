@@ -15,10 +15,7 @@
 
 #include "common/arena.hh"
 #include "common/log.hh"
-#include "driver/bounded_queue.hh"
-#include "driver/chunk_stream.hh"
 #include "telemetry/trace_writer.hh"
-#include "workload/workloads.hh"
 
 namespace stms::driver
 {
@@ -174,28 +171,20 @@ ExperimentRunner::execute(const Experiment &experiment,
     std::vector<RunOutput> outputs(plan.size());
     std::vector<RunTiming> timings(plan.size());
 
-    // --- Stage bodies -------------------------------------------------
+    const std::size_t workers = std::min<std::size_t>(
+        std::max<std::uint32_t>(resolvedThreads_, 1), plan.size());
+    local.threadsResolved =
+        static_cast<std::uint32_t>(std::max<std::size_t>(workers, 1));
 
-    // acquire: pin the synthetic trace (generating on first use).
-    // Ingest runs open their readers in the simulate stage instead, so
-    // the one-bounded-chunk-per-lane residency guarantee starts only
-    // when the run actually executes.
-    auto acquireOne = [&](std::size_t index) -> TraceCache::Handle {
-        const RunSpec &spec = plan[index];
-        if (spec.ingest)
-            return TraceCache::Handle();
-        telemetry::ScopedSpan span("stage", "acquire", spec.id);
-        const Clock::time_point start = Clock::now();
-        TraceCache::Handle handle =
-            traces_.acquire(spec.workload, spec.records);
-        timings[index].acquireSeconds = secondsSince(start);
-        return handle;
-    };
+    telemetry::ProgressMeter progress(
+        telemetry::progressEnabled(config_.progress) && !plan.empty(),
+        experiment.name(), plan.size(), local.threadsResolved);
 
-    // simulate: one isolated System/EventQueue per run.
-    auto simulateOne = [&](std::size_t index,
-                           TraceCache::Handle handle) {
+    // One run, both stages back to back on the calling thread.
+    auto executeOne = [&](std::size_t index) {
         const RunSpec &spec = plan[index];
+        RunTiming &timing = timings[index];
+        traceRunBegin(index, spec.id);
         if (spec.ingest) {
             // Ingested traces stream per run — a fresh reader per
             // RunSpec, one bounded chunk per lane resident — and
@@ -212,188 +201,63 @@ ExperimentRunner::execute(const Experiment &experiment,
                 stms_fatal("run '%s': %s", spec.id.c_str(),
                            error.c_str());
             }
-            timings[index].acquireSeconds = secondsSince(open_start);
+            timing.acquireSeconds = secondsSince(open_start);
             telemetry::ScopedSpan span("stage", "simulate", spec.id);
             const Clock::time_point start = Clock::now();
             outputs[index] = runTrace(*source, spec.config);
-            timings[index].simulateSeconds = secondsSince(start);
+            timing.simulateSeconds = secondsSince(start);
             // A streaming source may not know its length up front
             // (ChampSim through a decompressor pipe reports 0); the
             // simulated access count is the records actually driven.
-            timings[index].records = source->totalRecords();
-            if (timings[index].records == 0)
-                timings[index].records =
-                    outputs[index].sim.mem.accesses;
+            timing.records = source->totalRecords();
+            if (timing.records == 0)
+                timing.records = outputs[index].sim.mem.accesses;
         } else {
-            timings[index].records = handle.trace().totalRecords();
+            TraceCache::Handle handle;
+            {
+                telemetry::ScopedSpan span("stage", "acquire",
+                                           spec.id);
+                const Clock::time_point start = Clock::now();
+                handle = traces_.acquire(spec.workload, spec.records);
+                timing.acquireSeconds = secondsSince(start);
+            }
+            timing.records = handle.trace().totalRecords();
             telemetry::ScopedSpan span("stage", "simulate", spec.id);
             const Clock::time_point start = Clock::now();
             outputs[index] = runTrace(handle.trace(), spec.config);
-            timings[index].simulateSeconds = secondsSince(start);
+            timing.simulateSeconds = secondsSince(start);
         }
         stms_debug("[%s] run %zu/%zu done: %s",
                    experiment.name().c_str(), index + 1, plan.size(),
                    spec.id.c_str());
-    };
-
-    // --- Schedules ----------------------------------------------------
-
-    const std::size_t workers = std::min<std::size_t>(
-        std::max<std::uint32_t>(resolvedThreads_, 1), plan.size());
-
-    // Report the execution actually used, not the one requested: a
-    // <= 1-run plan degenerates to fan-out, and the pool never
-    // exceeds the plan.
-    const bool pipelined = config_.pipeline && plan.size() > 1;
-    local.pipelined = pipelined;
-    local.threadsResolved =
-        static_cast<std::uint32_t>(std::max<std::size_t>(workers, 1));
-
-    telemetry::ProgressMeter progress(
-        telemetry::progressEnabled(config_.progress) && !plan.empty(),
-        experiment.name(), plan.size(), local.threadsResolved);
-
-    // The end of a run, on whichever thread simulated it: close its
-    // lifecycle span, flush this thread's spans, tick the meter.
-    auto finishOne = [&](std::size_t index) {
-        traceRunEnd(index, plan[index].id);
+        traceRunEnd(index, spec.id);
         flushTraceThread();
-        progress.noteRun(timings[index].records,
-                         timings[index].acquireSeconds,
-                         timings[index].simulateSeconds);
+        progress.noteRun(timing.records, timing.acquireSeconds,
+                         timing.simulateSeconds);
     };
 
-    if (!pipelined) {
-        // Fan-out: each worker runs both stages back to back.
-        auto executeOne = [&](std::size_t index) {
-            traceRunBegin(index, plan[index].id);
-            simulateOne(index, acquireOne(index));
-            finishOne(index);
-        };
-        if (workers <= 1) {
-            for (std::size_t index = 0; index < plan.size(); ++index)
-                executeOne(index);
-        } else {
-            std::atomic<std::size_t> next{0};
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (std::size_t w = 0; w < workers; ++w) {
-                pool.emplace_back([&, w] {
-                    char label[32];
-                    std::snprintf(label, sizeof(label), "worker-%zu",
-                                  w);
-                    nameTraceThread(label);
-                    for (std::size_t i = next.fetch_add(1);
-                         i < plan.size(); i = next.fetch_add(1)) {
-                        executeOne(i);
-                    }
-                });
-            }
-            for (auto &thread : pool)
-                thread.join();
-        }
+    // Fan-out: a pool that never exceeds the plan pulls runs in plan
+    // order.
+    if (workers <= 1) {
+        for (std::size_t index = 0; index < plan.size(); ++index)
+            executeOne(index);
     } else {
-        // Pipelined: stages exchange bounded record chunks, never
-        // whole traces. The acquire stage opens a ChunkedWorkloadSource
-        // per synthetic run — its producer thread generates lane
-        // chunks ahead of the simulator, paced by per-lane bounded
-        // queues — and hands sources (not traces) to the simulator
-        // pool over a bounded run-lookahead queue. Each simulator
-        // ends its own runs. Residency is therefore (runs in flight)
-        // x lanes x O(1) chunks, independent of trace length; ingest
-        // runs keep their existing bounded streaming path inside
-        // simulateOne.
-        const std::uint64_t chunk_records =
-            config_.pipelineChunkRecords != 0
-                ? config_.pipelineChunkRecords
-                : kDefaultPipelineChunkRecords;
-        local.chunkRecords = chunk_records;
-        ChunkAccounting chunk_accounting;
-
-        struct AcquiredRun
-        {
-            std::size_t index;
-            std::unique_ptr<ChunkedWorkloadSource> source;
-        };
-        // Run lookahead is a residency multiplier, not a throughput
-        // one: every queued source has a live producer thread holding
-        // lanes x O(1) chunks, so capacity here scales peak RSS with
-        // the worker count. One spare run is enough to keep the
-        // simulators from ever waiting on acquire.
-        BoundedQueue<AcquiredRun> acquired(2);
-        acquired.instrument("queue.acquired");
-
-        std::thread acquirer([&] {
-            nameTraceThread("acquire");
-            for (std::size_t index = 0; index < plan.size(); ++index) {
-                const RunSpec &spec = plan[index];
-                traceRunBegin(index, spec.id);
-                AcquiredRun item{index, nullptr};
-                if (!spec.ingest) {
-                    // The span covers opening the stream (the bulk of
-                    // acquire cost — generation — lands on the
-                    // producer thread as "generate" spans).
-                    telemetry::ScopedSpan span("stage", "acquire",
-                                               spec.id);
-                    item.source =
-                        std::make_unique<ChunkedWorkloadSource>(
-                            makeWorkload(spec.workload, spec.records),
-                            chunk_records, &chunk_accounting,
-                            spec.id);
-                }
-                if (!acquired.push(std::move(item)))
-                    break;
-            }
-            acquired.close();
-            flushTraceThread();
-        });
-
-        std::vector<std::thread> simulators;
-        simulators.reserve(workers);
+        std::atomic<std::size_t> next{0};
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w) {
-            simulators.emplace_back([&, w] {
+            pool.emplace_back([&, w] {
                 char label[32];
-                std::snprintf(label, sizeof(label), "simulate-%zu",
-                              w);
+                std::snprintf(label, sizeof(label), "worker-%zu", w);
                 nameTraceThread(label);
-                while (auto item = acquired.pop()) {
-                    const std::size_t index = item->index;
-                    if (item->source) {
-                        timings[index].records =
-                            item->source->totalRecords();
-                        telemetry::ScopedSpan span("stage",
-                                                   "simulate",
-                                                   plan[index].id);
-                        const Clock::time_point start = Clock::now();
-                        outputs[index] =
-                            runTrace(*item->source,
-                                     plan[index].config);
-                        timings[index].simulateSeconds =
-                            secondsSince(start);
-                        // Generation ran on the producer thread,
-                        // overlapped with simulation; report it as
-                        // this run's acquire cost.
-                        timings[index].acquireSeconds =
-                            item->source->produceSeconds();
-                        timings[index].peakResidentChunks =
-                            item->source->peakResidentChunks();
-                        item->source.reset();
-                        stms_debug("[%s] run %zu/%zu done: %s",
-                                   experiment.name().c_str(),
-                                   index + 1, plan.size(),
-                                   plan[index].id.c_str());
-                    } else {
-                        simulateOne(index, TraceCache::Handle());
-                    }
-                    finishOne(index);
+                for (std::size_t i = next.fetch_add(1); i < plan.size();
+                     i = next.fetch_add(1)) {
+                    executeOne(i);
                 }
             });
         }
-
-        acquirer.join();
-        for (auto &thread : simulators)
+        for (auto &thread : pool)
             thread.join();
-        local.peakResidentChunks = chunk_accounting.peak.load();
     }
 
     progress.finish();

@@ -5,29 +5,16 @@
  * The runner turns a plan into completed outputs. Each run passes
  * through two stages:
  *
- *   acquire   pin the synthetic trace in the TraceCache (generating
- *             it on first use), or open an ingested trace;
+ *   acquire   take the synthetic trace from the TraceCache
+ *             (generating it on first use), or open an ingested
+ *             trace;
  *   simulate  build an isolated System/EventQueue and run it.
  *
- * Two schedules execute those stages:
- *
- *  - fan-out (default): a pool of worker threads, each running both
- *    stages of one run back to back.
- *  - pipelined (RunnerConfig::pipeline): stages exchange *bounded
- *    record chunks*, never whole traces. Each synthetic run streams
- *    through a ChunkedWorkloadSource (driver/chunk_stream.hh): a
- *    per-run producer thread resumes the lane generators chunk by
- *    chunk into bounded per-lane queues, and the simulator pool
- *    consumes through ordinary RecordCursors. Generation of run k's
- *    next chunk overlaps simulation of its current one (and of other
- *    runs), while peak residency stays
- *    runs-in-flight x lanes x O(1) chunks regardless of trace
- *    length. Ingest runs already stream bounded chunks from disk and
- *    are unchanged.
- *
- * Either way, outputs are stored by plan index and keyed by id, so a
- * report assembled from them is bit-identical to serial execution,
- * the same discipline the `--threads N` gates check.
+ * One schedule executes them: a pool of worker threads, each running
+ * both stages of one run back to back (fan-out). Outputs are stored
+ * by plan index and keyed by id, so a report assembled from them is
+ * bit-identical to serial execution, the same discipline the
+ * `--threads N` gates check.
  *
  * Wall-clock timing of every stage is collected into ExecStats; it is
  * reporting metadata only and never reaches the model output (timing
@@ -55,13 +42,6 @@ struct RunnerConfig
     /** Worker threads; 1 runs on the calling thread, 0 auto-detects
      *  std::thread::hardware_concurrency(). */
     std::uint32_t threads = 1;
-    /** Stage-pipelined scheduling (acquire ahead of simulate). */
-    bool pipeline = false;
-    /** Records per streamed chunk in the pipelined schedule; 0 uses
-     *  kDefaultPipelineChunkRecords (driver/chunk_stream.hh). Chunk
-     *  size never changes model output — only residency and overlap
-     *  granularity — and the pipeline tests assert exactly that. */
-    std::uint64_t pipelineChunkRecords = 0;
     /**
      * Telemetry: epoch-sample simulator counters every N accesses
      * into the per-run timing series (0 = inherit the process-wide
@@ -86,16 +66,10 @@ struct ExecStats
 
     // Timing metadata (never model output; see file comment).
     std::uint32_t threadsResolved = 1;  ///< Actual worker count.
-    bool pipelined = false;
     double wallSeconds = 0;       ///< Whole execute() duration.
     double acquireSeconds = 0;    ///< Sum over executed runs.
     double simulateSeconds = 0;
     std::uint64_t recordsProcessed = 0;  ///< Trace records simulated.
-    /** Records per streamed chunk (0 = whole-trace hand-off). */
-    std::uint64_t chunkRecords = 0;
-    /** Peak record chunks resident at once across concurrent runs —
-     *  the chunked pipeline's bounded-residency witness. */
-    std::uint64_t peakResidentChunks = 0;
     /** Sampling epoch in effect (0 = off) + probe column names. */
     std::uint64_t sampleEvery = 0;
     std::vector<std::string> sampleColumns;

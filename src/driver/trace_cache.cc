@@ -1,6 +1,5 @@
 #include "driver/trace_cache.hh"
 
-#include "common/log.hh"
 #include "telemetry/trace_writer.hh"
 #include "workload/generators.hh"
 #include "workload/workloads.hh"
@@ -11,60 +10,17 @@ namespace stms::driver
 namespace
 {
 
-/** Counter sample after every residentBytes_ change (mutex held, so
- *  the track is totally ordered with the size it reports). */
-void
-noteResidentKb(std::uint64_t resident_bytes)
-{
-    telemetry::emitCounter(
-        "trace_cache.resident_kb",
-        static_cast<double>(resident_bytes) / 1024.0);
-}
-
-} // namespace
-
-void
-TraceCache::Handle::release()
-{
-    if (!entry_)
-        return;
-    if (cache_) {
-        std::lock_guard<std::mutex> lock(cache_->mutex_);
-        stms_assert(entry_->pins > 0, "trace handle over-release");
-        --entry_->pins;
-        // An unpinned entry may now be evictable; re-check the bound
-        // (it can be exceeded while the pinned working set alone
-        // exceeds it).
-        cache_->evictToCapacity();
-    }
-    entry_.reset();
-    cache_ = nullptr;
-}
-
+/** Estimated resident footprint of a generated trace. */
 std::uint64_t
-TraceCache::traceBytes(const Trace &trace)
+traceBytes(const Trace &trace)
 {
     std::uint64_t bytes = sizeof(Trace) + trace.name.size();
     for (const auto &lane : trace.perCore)
-        bytes += lane.capacity() * sizeof(TraceRecord) +
-                 sizeof(lane);
+        bytes += lane.capacity() * sizeof(TraceRecord) + sizeof(lane);
     return bytes;
 }
 
-std::shared_ptr<TraceCache::Entry>
-TraceCache::generateEntry(const Key &key)
-{
-    auto entry = std::make_shared<Entry>();
-    entry->key = key;
-    WorkloadGenerator generator(makeWorkload(key.first, key.second));
-    {
-        telemetry::ScopedSpan span("stage", "generate", key.first);
-        entry->trace = generator.generate();
-    }
-    entry->bytes = traceBytes(entry->trace);
-    entry->ready = true;
-    return entry;
-}
+} // namespace
 
 TraceCache::Handle
 TraceCache::acquire(const std::string &workload,
@@ -72,147 +28,45 @@ TraceCache::acquire(const std::string &workload,
 {
     const Key key{workload, records_per_core};
 
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto [it, inserted] = entries_.try_emplace(key);
+    if (!inserted) {
+        std::shared_ptr<Entry> entry = it->second;
+        ready_.wait(lock, [&] { return entry->ready; });
+        return Handle(std::shared_ptr<const Trace>(entry, &entry->trace));
+    }
+
+    // First request: the placeholder makes concurrent requests for
+    // this key wait instead of generating twice; generation runs
+    // outside the lock so distinct keys synthesize concurrently.
+    auto entry = std::make_shared<Entry>();
+    it->second = entry;
+    lock.unlock();
+
+    Trace trace;
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (capacity_ == 0) {
-            // No caching: generate a private trace owned by the
-            // handle alone (no pin accounting, nothing resident).
-            ++generations_;
-            lock.unlock();
-            return Handle(nullptr, generateEntry(key));
-        }
-
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            std::shared_ptr<Entry> entry = it->second;
-            ++entry->pins;  // Pin before waiting: blocks eviction.
-            ready_.wait(lock, [&] { return entry->ready; });
-            entry->lastUse = ++useClock_;
-            return Handle(this, std::move(entry));
-        }
-
-        // First request: insert a placeholder so concurrent requests
-        // for the same key wait instead of generating twice, then
-        // generate outside the lock so distinct keys synthesize
-        // concurrently.
-        auto placeholder = std::make_shared<Entry>();
-        placeholder->key = key;
-        placeholder->pins = 1;
-        placeholder->cached = true;
-        entries_.emplace(key, placeholder);
-        ++generations_;
-        lock.unlock();
-
-        WorkloadGenerator generator(
-            makeWorkload(key.first, key.second));
-        Trace trace;
-        {
-            telemetry::ScopedSpan span("stage", "generate",
-                                       key.first);
-            trace = generator.generate();
-        }
-
-        lock.lock();
-        placeholder->trace = std::move(trace);
-        placeholder->bytes = traceBytes(placeholder->trace);
-        placeholder->ready = true;
-        placeholder->lastUse = ++useClock_;
-        residentBytes_ += placeholder->bytes;
-        noteResidentKb(residentBytes_);
-        ready_.notify_all();
-        evictToCapacity();
-        return Handle(this, std::move(placeholder));
+        telemetry::ScopedSpan span("stage", "generate", workload);
+        trace = WorkloadGenerator(makeWorkload(workload,
+                                               records_per_core))
+                    .generate();
     }
-}
 
-const Trace &
-TraceCache::get(const std::string &workload,
-                std::uint64_t records_per_core)
-{
-    const Key key{workload, records_per_core};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = permanent_.find(key);
-        if (it != permanent_.end())
-            return it->second->trace;
-    }
-    Handle handle = acquire(workload, records_per_core);
-    // Convert the handle into a permanent pin: keep the entry alive
-    // (and un-evictable) for the cache's lifetime by moving the
-    // shared_ptr reference into the cache's permanent set, deduped
-    // by key. A racing get() may have pinned first; the loser's
-    // handle then releases normally (under capacity 0 its private
-    // copy is dropped rather than retained forever).
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = permanent_.emplace(key, handle.entry_);
-    if (inserted) {
-        handle.cache_ = nullptr;  // Pin transferred, skip release.
-        handle.entry_.reset();
-    }
-    return it->second->trace;
-}
-
-void
-TraceCache::setCapacity(std::uint64_t capacity_bytes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity_bytes;
-    evictToCapacity();
-}
-
-std::uint64_t
-TraceCache::capacityBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-}
-
-std::size_t
-TraceCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-std::uint64_t
-TraceCache::residentBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return residentBytes_;
+    lock.lock();
+    entry->trace = std::move(trace);
+    entry->ready = true;
+    residentBytes_ += traceBytes(entry->trace);
+    // Sampled under the mutex, so the track is totally ordered.
+    telemetry::emitCounter("trace_cache.resident_kb",
+                           static_cast<double>(residentBytes_) / 1024.0);
+    ready_.notify_all();
+    return Handle(std::shared_ptr<const Trace>(entry, &entry->trace));
 }
 
 std::uint64_t
 TraceCache::generations() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return generations_;
-}
-
-void
-TraceCache::evictToCapacity()
-{
-    if (capacity_ == kUnbounded)
-        return;
-    while (residentBytes_ > capacity_) {
-        // LRU among unpinned, fully generated entries. Pinned (or
-        // still-generating) traces are never dropped — the bound is
-        // soft while the pinned working set exceeds it.
-        auto victim = entries_.end();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            Entry &entry = *it->second;
-            if (entry.pins > 0 || !entry.ready)
-                continue;
-            if (victim == entries_.end() ||
-                entry.lastUse < victim->second->lastUse)
-                victim = it;
-        }
-        if (victim == entries_.end())
-            return;
-        residentBytes_ -= victim->second->bytes;
-        noteResidentKb(residentBytes_);
-        victim->second->cached = false;
-        entries_.erase(victim);
-    }
+    return entries_.size();
 }
 
 TraceCache &

@@ -34,9 +34,9 @@ runTrace(trace_io::TraceSource &source, const RunConfig &run_config)
     // buffers, MSHR maps, issued sets) bump-allocate from this
     // thread's run arena; the outermost scope resets it on exit, so
     // back-to-back runs in a sweep reuse the same blocks instead of
-    // hitting the global allocator — the contention the --pipeline
-    // worker threads used to serialize on. RunOutput holds only plain
-    // values, so nothing arena-backed escapes the scope.
+    // hitting the global allocator, which `--threads N` workers would
+    // otherwise serialize on. RunOutput holds only plain values, so
+    // nothing arena-backed escapes the scope.
     ScopedRunArena arena_scope;
     SimConfig config = run_config.sim;
     config.warmupRecords = static_cast<std::uint64_t>(

@@ -10,7 +10,7 @@
  * uninstrumented run), never enters the run codec or the model
  * digests, and reads counters without mutating them — epochs are a
  * pure function of the access stream, hence deterministic for fixed
- * seeds regardless of threads or pipeline mode.
+ * seeds regardless of the thread count.
  *
  * The hot-path hook lives in MemorySystem (one compare against a
  * threshold parked at "never" when disabled — the same trick as the

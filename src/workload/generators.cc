@@ -257,18 +257,6 @@ LaneGenerator::fill(std::vector<TraceRecord> &out,
     return appended;
 }
 
-std::size_t
-LaneGenerator::fill(TraceRecord *out, std::size_t max_records)
-{
-    std::size_t appended = 0;
-    TraceRecord record;
-    while (appended < max_records && state_->next(record)) {
-        out[appended] = record;
-        ++appended;
-    }
-    return appended;
-}
-
 bool
 LaneGenerator::done() const
 {

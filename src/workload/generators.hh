@@ -104,8 +104,8 @@ struct WorkloadSpec
  * Resumable single-lane generator.
  *
  * Emits exactly the record sequence WorkloadGenerator::generate()
- * produces for one core, but in caller-sized slices, so the pipeline
- * can stream bounded chunks instead of materializing whole lanes.
+ * produces for one core, but in caller-sized slices, so a consumer
+ * can take bounded chunks instead of materializing whole lanes.
  * The RNG-driven state machine (stream library, recurrence heap,
  * burst position) is suspended between fill() calls; slicing at any
  * boundary — including mid-burst — yields the same bytes as one
@@ -126,14 +126,6 @@ class LaneGenerator
      */
     std::size_t fill(std::vector<TraceRecord> &out,
                      std::size_t max_records);
-
-    /**
-     * fill() into caller-owned storage of at least @p max_records
-     * records — the allocator-agnostic form the chunk pipeline uses to
-     * fill arena-backed chunk buffers. Same record sequence as the
-     * vector overload.
-     */
-    std::size_t fill(TraceRecord *out, std::size_t max_records);
 
     /** All recordsPerCore records have been emitted. */
     bool done() const;

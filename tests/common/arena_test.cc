@@ -190,35 +190,5 @@ TEST(ArenaBuffer, MoveTransfersOwnership)
     EXPECT_EQ(a.data(), data);
 }
 
-TEST(ArenaAllocator, VectorRoundTripOnArenaAndHeap)
-{
-    Arena arena;
-    {
-        std::vector<int, ArenaAllocator<int>> on_arena(
-            (ArenaAllocator<int>(&arena)));
-        for (int i = 0; i < 1000; ++i)
-            on_arena.push_back(i);
-        EXPECT_EQ(on_arena[999], 999);
-        EXPECT_GT(arena.allocatedBytes(), 0u);
-    }  // destruction never touches the arena (no-op deallocate)
-
-    std::vector<int, ArenaAllocator<int>> on_heap;  // null allocator
-    for (int i = 0; i < 1000; ++i)
-        on_heap.push_back(i);
-    EXPECT_EQ(on_heap[999], 999);
-}
-
-TEST(ArenaAllocator, MovePropagatesAllocator)
-{
-    Arena arena;
-    std::vector<int, ArenaAllocator<int>> source(
-        (ArenaAllocator<int>(&arena)));
-    source.assign(100, 7);
-    std::vector<int, ArenaAllocator<int>> target;  // heap-bound
-    target = std::move(source);  // POCMA: steals buffer + allocator
-    EXPECT_EQ(target.size(), 100u);
-    EXPECT_EQ(target.get_allocator().arena(), &arena);
-}
-
 } // namespace
 } // namespace stms

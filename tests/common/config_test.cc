@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/config.hh"
+#include "driver/experiment.hh"
 
 namespace stms
 {
@@ -28,16 +31,28 @@ TEST(Options, ParseTokenRejectsBadSyntax)
 TEST(Options, TypedAccessorsWithFallbacks)
 {
     Options options;
-    options.set("i", "-5");
     options.set("d", "0.125");
     options.set("b", "true");
     options.set("u", "64M");
-    EXPECT_EQ(options.getInt("i", 0), -5);
-    EXPECT_EQ(options.getInt("missing", 7), 7);
     EXPECT_DOUBLE_EQ(options.getDouble("d", 0), 0.125);
+    EXPECT_DOUBLE_EQ(options.getDouble("missing", 0.5), 0.5);
     EXPECT_TRUE(options.getBool("b", false));
     EXPECT_FALSE(options.getBool("missing", false));
     EXPECT_EQ(options.getUint("u", 0), 64ULL << 20);
+}
+
+TEST(Options, JunkDoublesAreFatal)
+{
+    // "sampling=abc" used to run silently as sampling=0.
+    Options options;
+    for (const char *text : {"abc", "0.5x", ""}) {
+        options.set("d", text);
+        EXPECT_EXIT(options.getDouble("d", 1.0),
+                    ::testing::ExitedWithCode(1), "bad number")
+            << "'" << text << "'";
+    }
+    options.set("d", "0.125");
+    EXPECT_DOUBLE_EQ(options.getDouble("d", 1.0), 0.125);
 }
 
 TEST(Options, BoolSpellings)
@@ -91,6 +106,36 @@ TEST(ParseSize, OutOfRangeValuesAreFatal)
     }
     EXPECT_EXIT(parseSize("12Q"), ::testing::ExitedWithCode(1),
                 "bad size suffix");
+}
+
+TEST(ParseSize, BenchRecordsOverrideIsParsedLikeRecords)
+{
+    // STMS_BENCH_RECORDS=-5 used to reach vector::reserve as 2^64-5
+    // and abort; it now fails the way records=-5 does. Each death
+    // test sets the variable in its own forked child.
+    const Options none;
+    EXPECT_EXIT(
+        {
+            setenv("STMS_BENCH_RECORDS", "-5", 1);
+            driver::plannedRecords(none, 7);
+        },
+        ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(
+        {
+            setenv("STMS_BENCH_RECORDS", "lots", 1);
+            driver::plannedRecords(none, 7);
+        },
+        ::testing::ExitedWithCode(1), "bad size suffix");
+
+    setenv("STMS_BENCH_RECORDS", "8K", 1);
+    EXPECT_EQ(driver::plannedRecords(none, 7), 8192u);
+    setenv("STMS_BENCH_RECORDS", "0", 1);
+    EXPECT_EQ(driver::plannedRecords(none, 7), 7u);  // 0 = unset.
+    Options records;
+    records.set("records", "512");
+    EXPECT_EQ(driver::plannedRecords(records, 7), 512u);
+    unsetenv("STMS_BENCH_RECORDS");
+    EXPECT_EQ(driver::plannedRecords(none, 7), 7u);
 }
 
 TEST(FormatSize, HumanReadable)

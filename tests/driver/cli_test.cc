@@ -90,6 +90,7 @@ TEST(DriverCli, EqualsOnBooleanFlagsRejected)
     parse({"--csv=1"}, /*expect_ok=*/false);
     parse({"--list=yes"}, /*expect_ok=*/false);
     parse({"--verbose=true"}, /*expect_ok=*/false);
+    parse({"--no-timing=1"}, /*expect_ok=*/false);
 }
 
 TEST(DriverCli, ThreadsZeroMeansAutoDetect)
@@ -108,52 +109,6 @@ TEST(DriverCli, BadThreadsRejected)
     parse({"--threads", "5000"}, /*expect_ok=*/false);
 }
 
-TEST(DriverCli, PipelineAndCacheFlags)
-{
-    const DriverArgs args = parse(
-        {"--pipeline", "--trace-cache-mb", "256", "--no-timing"});
-    EXPECT_TRUE(args.pipeline);
-    EXPECT_EQ(args.traceCacheMb, 256u);
-    EXPECT_FALSE(args.timing);
-
-    const DriverArgs defaults = parse({});
-    EXPECT_FALSE(defaults.pipeline);
-    EXPECT_EQ(defaults.traceCacheMb, DriverArgs::kCacheUnset);
-    EXPECT_TRUE(defaults.timing);
-
-    EXPECT_EQ(parse({"--trace-cache-mb=0"}).traceCacheMb, 0u);
-    parse({"--trace-cache-mb", "junk"}, /*expect_ok=*/false);
-    // Boolean flags take no value (the =value spelling must not
-    // fall through to the option store).
-    parse({"--pipeline=1"}, /*expect_ok=*/false);
-    parse({"--no-timing=1"}, /*expect_ok=*/false);
-}
-
-TEST(DriverCli, PipelineChunkFlagParses)
-{
-    // Both spellings reach the runner knob; the value never leaks
-    // into the experiment options (chunk size is a residency knob,
-    // not a model parameter).
-    const DriverArgs space =
-        parse({"--pipeline", "--pipeline-chunk", "4096"});
-    EXPECT_EQ(space.pipelineChunk, 4096u);
-    EXPECT_FALSE(space.options.has("pipeline-chunk"));
-    const DriverArgs equals = parse({"--pipeline-chunk=7"});
-    EXPECT_EQ(equals.pipelineChunk, 7u);
-    EXPECT_FALSE(equals.options.has("pipeline-chunk"));
-
-    // Default: 0 = engine default (kDefaultPipelineChunkRecords).
-    EXPECT_EQ(parse({}).pipelineChunk, 0u);
-
-    // Strictly positive, strictly numeric, sanity-bounded.
-    parse({"--pipeline-chunk", "0"}, /*expect_ok=*/false);
-    parse({"--pipeline-chunk=0"}, /*expect_ok=*/false);
-    parse({"--pipeline-chunk", "junk"}, /*expect_ok=*/false);
-    parse({"--pipeline-chunk", "64k"}, /*expect_ok=*/false);
-    parse({"--pipeline-chunk"}, /*expect_ok=*/false);
-    parse({"--pipeline-chunk", "1073741825"}, /*expect_ok=*/false);
-}
-
 TEST(DriverCli, UnknownTokensRejected)
 {
     parse({"bogus"}, /*expect_ok=*/false);
@@ -166,6 +121,8 @@ TEST(DriverCli, ModeFlags)
     EXPECT_TRUE(parse({"--help"}).help);
     EXPECT_TRUE(parse({"--csv", "--verbose"}).csv);
     EXPECT_TRUE(parse({"--csv", "--verbose"}).verbose);
+    EXPECT_TRUE(parse({}).timing);
+    EXPECT_FALSE(parse({"--no-timing"}).timing);
 }
 
 TEST(DriverCli, RemovedOptionsAreRejected)
@@ -192,6 +149,15 @@ TEST(DriverCli, RemovedOptionsAreRejected)
     const std::string shards_msg =
         "--index-shards was removed: index-table sharding never "
         "changed results; drop the option";
+    const std::string pipeline_msg =
+        "--pipeline was removed: fan-out is the only schedule and "
+        "gives the same results; use --threads N";
+    const std::string chunk_msg =
+        "--pipeline-chunk was removed: there is no pipelined schedule "
+        "to chunk; drop the option";
+    const std::string cache_msg =
+        "--trace-cache-mb was removed: the trace cache keeps each "
+        "trace it generates; drop the option";
     struct Case
     {
         std::vector<const char *> tokens;
@@ -208,6 +174,15 @@ TEST(DriverCli, RemovedOptionsAreRejected)
         {{"--index-shards", "4"}, shards_msg},
         {{"--index-shards=4"}, shards_msg},
         {{"index-shards=4"}, shards_msg},
+        {{"--pipeline"}, pipeline_msg},
+        {{"--pipeline=1"}, pipeline_msg},
+        {{"pipeline=1"}, pipeline_msg},
+        {{"--pipeline-chunk", "512"}, chunk_msg},
+        {{"--pipeline-chunk=512"}, chunk_msg},
+        {{"pipeline-chunk=512"}, chunk_msg},
+        {{"--trace-cache-mb", "64"}, cache_msg},
+        {{"--trace-cache-mb=64"}, cache_msg},
+        {{"trace-cache-mb=64"}, cache_msg},
     };
     for (const Case &c : cases) {
         std::vector<const char *> argv = {"driver", "-e", "fig7"};
@@ -227,9 +202,11 @@ TEST(DriverCli, RemovedOptionNamesDoNotShadowOtherOptions)
 {
     // Matching is by whole option name: a longer name that merely
     // starts with a removed one is an ordinary key=value option.
-    const DriverArgs args = parse({"storey=1", "--results-dir=x"});
+    const DriverArgs args = parse(
+        {"storey=1", "--results-dir=x", "pipelines=2"});
     EXPECT_EQ(args.options.get("storey", ""), "1");
     EXPECT_EQ(args.options.get("results-dir", ""), "x");
+    EXPECT_EQ(args.options.get("pipelines", ""), "2");
 }
 
 } // namespace

@@ -1,8 +1,9 @@
-/** @file Determinism tests of the pipelined run scheduler: every
- *  combination of threads x pipeline x chunk size must produce
- *  byte-identical reports. */
+/** @file Determinism tests of the fan-out run scheduler: every
+ *  worker count must produce byte-identical reports. */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "driver/registry.hh"
 #include "driver/runner.hh"
@@ -31,79 +32,29 @@ testOptions()
 }
 
 std::string
-runSchedule(std::uint32_t threads, bool pipeline,
-            std::uint64_t chunk_records = 0)
+runSchedule(std::uint32_t threads)
 {
     TraceCache cache;
     RunnerConfig config;
     config.threads = threads;
-    config.pipeline = pipeline;
-    config.pipelineChunkRecords = chunk_records;
     ExperimentRunner runner(cache, config);
     ExecStats stats;
     const Report report =
         runner.run(*testExperiment(), testOptions(), &stats);
-    EXPECT_EQ(stats.pipelined, pipeline);
+    EXPECT_EQ(stats.threadsResolved,
+              std::min<std::size_t>(threads, stats.planned));
     EXPECT_EQ(stats.runs.size(), stats.planned);
     return report.toJson();
 }
 
 TEST(PipelineDeterminism, ThreadsByPipelineMatrixIsBitIdentical)
 {
-    const std::string reference =
-        runSchedule(/*threads=*/1, /*pipeline=*/false);
+    // Fan-out is the only schedule; its worker count is the matrix.
+    const std::string reference = runSchedule(/*threads=*/1);
     ASSERT_FALSE(reference.empty());
     for (std::uint32_t threads : {1u, 2u, 4u}) {
-        for (bool pipeline : {false, true}) {
-            EXPECT_EQ(runSchedule(threads, pipeline), reference)
-                << "threads=" << threads
-                << " pipeline=" << pipeline;
-        }
-    }
-}
-
-TEST(PipelineDeterminism, ChunkSizeNeverChangesModelOutput)
-{
-    // The streamed chunk size is a residency/overlap knob only: a
-    // one-record chunk (maximum lane-queue churn and producer
-    // parking), a chunk that misaligns with every internal boundary
-    // (7), and the 64Ki default must all reproduce the serial bytes
-    // at every worker count. This is the satellite acceptance gate:
-    // digests byte-identical across chunk x threads x pipeline.
-    const std::string reference =
-        runSchedule(/*threads=*/1, /*pipeline=*/false);
-    ASSERT_FALSE(reference.empty());
-    for (std::uint64_t chunk :
-         {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{64 * 1024}}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            EXPECT_EQ(runSchedule(threads, /*pipeline=*/true, chunk),
-                      reference)
-                << "chunk=" << chunk << " threads=" << threads;
-            // Chunk size is ignored off-pipeline (whole-trace
-            // fan-out); it must not perturb that schedule either.
-            EXPECT_EQ(runSchedule(threads, /*pipeline=*/false, chunk),
-                      reference)
-                << "chunk=" << chunk << " threads=" << threads
-                << " (fan-out)";
-        }
-    }
-}
-
-TEST(PipelineDeterminism, BoundedTraceCacheDoesNotChangeResults)
-{
-    const std::string reference = runSchedule(1, false);
-    // A cache too small to hold anything (every acquire regenerates)
-    // and the no-cache mode both reproduce the reference bytes.
-    for (std::uint64_t capacity : {std::uint64_t{1}, std::uint64_t{0}}) {
-        TraceCache cache(capacity);
-        RunnerConfig config;
-        config.threads = 2;
-        config.pipeline = true;
-        ExperimentRunner runner(cache, config);
-        const Report report =
-            runner.run(*testExperiment(), testOptions());
-        EXPECT_EQ(report.toJson(), reference)
-            << "capacity=" << capacity;
+        EXPECT_EQ(runSchedule(threads), reference)
+            << "threads=" << threads;
     }
 }
 

@@ -70,14 +70,18 @@ class TinySweep : public ExperimentBase
 TEST(TraceCache, GeneratesOnceAndReturnsSameInstance)
 {
     TraceCache cache;
-    const Trace &first = cache.get("oltp-db2", kTestRecords);
-    const Trace &second = cache.get("oltp-db2", kTestRecords);
-    EXPECT_EQ(&first, &second);
-    EXPECT_EQ(cache.size(), 1u);
+    const TraceCache::Handle first =
+        cache.acquire("oltp-db2", kTestRecords);
+    const TraceCache::Handle second =
+        cache.acquire("oltp-db2", kTestRecords);
+    EXPECT_EQ(&first.trace(), &second.trace());
+    EXPECT_EQ(cache.generations(), 1u);
 
-    const Trace &other = cache.get("oltp-db2", kTestRecords / 2);
-    EXPECT_NE(&first, &other);
-    EXPECT_EQ(cache.size(), 2u);
+    const TraceCache::Handle other =
+        cache.acquire("oltp-db2", kTestRecords / 2);
+    EXPECT_NE(&first.trace(), &other.trace());
+    EXPECT_EQ(other.trace().perCore.at(0).size(), kTestRecords / 2);
+    EXPECT_EQ(cache.generations(), 2u);
 }
 
 TEST(ExperimentRunner, ExecutesEveryPlannedRun)

@@ -5,25 +5,16 @@
  * The arena's thread-safety story is isolation, not locking: each
  * worker thread owns a private ScopedRunArena (run.cc installs one per
  * runTrace call), so arenas never need atomics — TSan proves the
- * isolation holds. Two hazards are exercised:
- *
- *  1. Thread-local scoping: N threads concurrently allocate, reset,
- *     and re-allocate through their own run arenas. Any accidental
- *     sharing of the "current arena" TLS or of block storage is a
- *     data race TSan flags.
- *  2. Cross-thread container hand-off: vectors bound to one thread's
- *     ArenaAllocator are produced on the owner thread and destroyed
- *     on a consumer thread (the chunk pipeline's pattern). Safe only
- *     because deallocate() is a no-op for arena storage — the
- *     consumer must never touch the producer's arena.
+ * isolation holds: N threads concurrently allocate, reset, and
+ * re-allocate through their own run arenas, and any accidental
+ * sharing of the "current arena" TLS or of block storage is a data
+ * race TSan flags.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -68,56 +59,6 @@ TEST(ArenaStress, PerThreadRunArenasAreIsolated)
     }
     for (auto &worker : workers)
         worker.join();
-}
-
-TEST(ArenaStress, CrossThreadVectorDestructionNeverTouchesArena)
-{
-    using Chunk = std::vector<std::uint64_t,
-                              ArenaAllocator<std::uint64_t>>;
-    constexpr int kChunks = 400;
-
-    Arena arena;  // owned (allocation-wise) by the producer thread
-    std::mutex mutex;
-    std::vector<Chunk> queue;
-    bool done = false;
-
-    std::thread producer([&] {
-        for (int i = 0; i < kChunks; ++i) {
-            Chunk chunk((ArenaAllocator<std::uint64_t>(&arena)));
-            chunk.assign(64, static_cast<std::uint64_t>(i));
-            std::lock_guard<std::mutex> lock(mutex);
-            queue.push_back(std::move(chunk));
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        done = true;
-    });
-
-    std::thread consumer([&] {
-        int seen = 0;
-        while (true) {
-            Chunk chunk;
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!queue.empty()) {
-                    chunk = std::move(queue.back());
-                    queue.pop_back();
-                } else if (done) {
-                    break;
-                }
-            }
-            if (!chunk.empty()) {
-                EXPECT_EQ(chunk.size(), 64u);
-                ++seen;
-            }
-            // chunk destroyed here, on the consumer thread: deallocate
-            // must be a no-op or TSan sees a race against the
-            // producer's concurrent arena bumps.
-        }
-        EXPECT_GT(seen, 0);
-    });
-
-    producer.join();
-    consumer.join();
 }
 
 } // namespace

@@ -170,7 +170,7 @@ TEST(LogStress, StickyLineRacesLoggingAndRawWrites)
 
 TEST(LogStress, ProgressMeterNoteRunRacesLogSink)
 {
-    // The real pipeline shape: worker threads complete runs (meter
+    // The real sweep shape: worker threads complete runs (meter
     // redraws through the sticky line) while others log. The meter is
     // enabled explicitly — no TTY needed — and erased at the end.
     ProgressMeter meter(true, "stress", 12 * 50, 4);

@@ -5,10 +5,10 @@
  *
  *   - a sweep with --trace-out and --sample-every produces a report
  *     byte-identical to an uninstrumented sweep, across
- *     threads {1,2,4} x pipeline {off,on};
+ *     threads {1,2,4};
  *   - sampler epochs are a pure function of the access stream, so
  *     for fixed seeds the sampled series is identical across
- *     repeats, thread counts, and schedules.
+ *     repeats and thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -57,12 +57,11 @@ experiment()
  *  the driver emits under --no-timing --json (timing is attached
  *  separately by the CLI and never part of Report::toJson()). */
 std::string
-sweepJson(std::uint32_t threads, bool pipeline, bool telemetry,
+sweepJson(std::uint32_t threads, bool telemetry,
           ExecStats *stats = nullptr)
 {
     RunnerConfig config;
     config.threads = threads;
-    config.pipeline = pipeline;
     config.sampleEvery = telemetry ? kSampleEvery : 0;
     config.progress = telemetry::ProgressMode::Off;
 
@@ -74,8 +73,7 @@ sweepJson(std::uint32_t threads, bool pipeline, bool telemetry,
 
     const std::string path =
         (fs::temp_directory_path() /
-         ("stms_determinism_" + std::to_string(threads) +
-          (pipeline ? "_pipe" : "_serial") + ".json"))
+         ("stms_determinism_" + std::to_string(threads) + ".json"))
             .string();
     telemetry::TraceSink sink(path);
     telemetry::installTraceSink(&sink);
@@ -92,10 +90,10 @@ sweepJson(std::uint32_t threads, bool pipeline, bool telemetry,
 
 /** Flatten every run's sampled series into one comparable string. */
 std::string
-sampledSeries(std::uint32_t threads, bool pipeline)
+sampledSeries(std::uint32_t threads)
 {
     ExecStats stats;
-    sweepJson(threads, pipeline, true, &stats);
+    sweepJson(threads, true, &stats);
     EXPECT_EQ(stats.sampleEvery, kSampleEvery);
     EXPECT_FALSE(stats.sampleColumns.empty());
 
@@ -117,28 +115,25 @@ sampledSeries(std::uint32_t threads, bool pipeline)
 
 TEST(TelemetryDeterminism, ReportBytesUnchangedByInstrumentation)
 {
-    // One uninstrumented reference; every schedule must match it.
-    const std::string reference = sweepJson(1, false, false);
+    // One uninstrumented reference; every thread count must match
+    // it.
+    const std::string reference = sweepJson(1, false);
     ASSERT_FALSE(reference.empty());
 
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        for (const bool pipeline : {false, true}) {
-            EXPECT_EQ(sweepJson(threads, pipeline, false), reference)
-                << "threads=" << threads << " pipeline=" << pipeline
-                << " (uninstrumented)";
-            EXPECT_EQ(sweepJson(threads, pipeline, true), reference)
-                << "threads=" << threads << " pipeline=" << pipeline
-                << " (trace + sampler enabled)";
-        }
+        EXPECT_EQ(sweepJson(threads, false), reference)
+            << "threads=" << threads << " (uninstrumented)";
+        EXPECT_EQ(sweepJson(threads, true), reference)
+            << "threads=" << threads << " (trace + sampler enabled)";
     }
 }
 
 TEST(TelemetryDeterminism, SampledEpochsDeterministicAcrossSchedules)
 {
-    const std::string reference = sampledSeries(1, false);
-    EXPECT_EQ(sampledSeries(1, false), reference) << "repeat run";
-    EXPECT_EQ(sampledSeries(4, false), reference) << "threads=4";
-    EXPECT_EQ(sampledSeries(2, true), reference) << "pipelined";
+    const std::string reference = sampledSeries(1);
+    EXPECT_EQ(sampledSeries(1), reference) << "repeat run";
+    EXPECT_EQ(sampledSeries(2), reference) << "threads=2";
+    EXPECT_EQ(sampledSeries(4), reference) << "threads=4";
 }
 
 } // namespace

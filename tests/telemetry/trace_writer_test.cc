@@ -55,7 +55,7 @@ TEST(TraceSink, WritesWellFormedTraceEventJson)
     sink.threadName("main");
     const std::uint64_t start = sink.nowUs();
     sink.span("stage", "simulate", start, 25, "run-a");
-    sink.counter("queue.acquired", 3.0);
+    sink.counter("trace_cache.resident_kb", 3.0);
     sink.asyncBegin("run", 7, "run-a");
     sink.asyncEnd("run", 7, "run-a");
     sink.flushCurrentThread();
@@ -74,7 +74,7 @@ TEST(TraceSink, WritesWellFormedTraceEventJson)
     EXPECT_EQ(countOccurrences(json, "\"ph\":\"b\""), 1u);
     EXPECT_EQ(countOccurrences(json, "\"ph\":\"e\""), 1u);
     EXPECT_NE(json.find("\"dur\":25"), std::string::npos);
-    EXPECT_NE(json.find("\"queue.acquired\""), std::string::npos);
+    EXPECT_NE(json.find("\"trace_cache.resident_kb\""), std::string::npos);
     // Thread-name metadata sorts ahead of every timed event.
     EXPECT_LT(json.find("\"ph\":\"M\""), json.find("\"ph\":\"X\""));
     fs::remove(path);
@@ -158,7 +158,7 @@ TEST(TraceSink, ScopedSpanAndEmitCounterAreNoOpsWhenDisabled)
         // Must not crash or allocate a sink; nothing to observe
         // beyond "runs cleanly with no sink installed".
         ScopedSpan span("stage", "simulate", "run-a");
-        emitCounter("queue.acquired", 1.0);
+        emitCounter("trace_cache.resident_kb", 1.0);
     }
     EXPECT_EQ(traceSink(), nullptr);
 }

@@ -175,10 +175,10 @@ TEST(Generator, BurstsEmitBackToBackStreamRecords)
 
 TEST(LaneGeneratorTest, ChunkedFillsReproduceGenerateExactly)
 {
-    // The chunked pipeline resumes a lane through arbitrary fill()
-    // boundaries; every record — addr, think, AND flags — must match
-    // the one-shot generate() stream bit for bit, or the streamed
-    // schedule silently diverges from every committed baseline.
+    // A lane resumed through arbitrary fill() boundaries must match
+    // the one-shot generate() stream bit for bit — addr, think, AND
+    // flags — or a chunked consumer would silently diverge from
+    // every committed baseline.
     // Chunk 1 cuts between every record (including mid-burst), 7
     // misaligns with all internal state, 64Ki exceeds the lane.
     const WorkloadSpec spec = tinySpec();

@@ -12,30 +12,21 @@ artifact is seeded from the newest earlier BENCH_*.json so the
 trajectory stays one unbroken series across PRs).
 
 Gating policy (docs/PERF.md): determinism gates — the model metrics
-(everything not ending in a timing suffix: _s, _per_sec, _kb, _ratio,
-or _chunks) must be bit-identical across thread counts and
-schedules — plus one *resource* gate: the chunked pipeline's peak RSS
-must stay within 1.25x serial (the whole point of streaming bounded
-chunks instead of whole traces). Throughput numbers are
-informational: they are recorded in the trajectory, never asserted
-against, because shared CI runners make wall-clock assertions flaky.
+(everything not ending in a timing suffix: _s, _per_sec, _kb or
+_ratio) must be bit-identical across thread counts. Throughput and
+peak RSS are informational here: they are recorded in the
+trajectory, never asserted against, because shared CI runners make
+wall-clock assertions flaky. (The footprint gates are CI steps that
+read the driver's own timing.peak_rss_kb.)
 
 Options:
   --records N            sweep length per core (default 65536; CI
                          smoke uses something small like 8192)
-  --threads N            pipelined-schedule simulator pool (default 1
-                         — same simulator count as the serial
-                         schedule, so the RSS gate compares
-                         inter-stage buffering, which is what the
-                         chunked pipeline changed, instead of the
-                         fan-out memory scaling any extra concurrent
-                         run brings)
-  --gate                 run the sweep at two pipeline thread counts
-                         and fail unless all model metrics match;
-                         also fail if pipeline peak RSS exceeds
-                         1.25x serial (requires per-schedule RSS
-                         isolation, i.e. writable /proc/self/clear_refs;
-                         skipped with a warning when unavailable)
+  --threads N            worker threads of perf_suite's fan-out
+                         schedule (default 2; its serial schedule
+                         always runs on one)
+  --gate                 run the sweep at two fan-out thread counts
+                         and fail unless all model metrics match
   --reference-binary P   also time an older driver binary on the same
                          pinned sweep (plain `--experiment fig7`) and
                          record the speedup of the current binary
@@ -64,11 +55,7 @@ import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio", "_chunks")
-
-# The chunked pipeline's resource gate: streaming bounded chunks must
-# keep pipelined peak RSS within this factor of the serial schedule.
-RSS_GATE_RATIO = 1.25
+TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio")
 
 # Telemetry overhead gate: the fig7 sweep with --trace-out +
 # --sample-every enabled must keep >= this fraction of the
@@ -185,7 +172,7 @@ def model_metrics(metrics):
 
 def print_table(metrics):
     rows = [("schedule", "records/s", "wall s", "peak RSS MB")]
-    for mode in ("serial", "pipeline"):
+    for mode in ("serial", "fanout"):
         rows.append((
             mode,
             f"{metrics[f'{mode}.records_per_sec']:,.0f}",
@@ -201,7 +188,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--driver", default=REPO_ROOT / "build/driver")
     parser.add_argument("--records", type=int, default=65536)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--gate", action="store_true")
     parser.add_argument("--reference-binary")
     parser.add_argument("--telemetry-gate", action="store_true")
@@ -215,9 +202,9 @@ def main():
     print_table(metrics)
 
     if args.gate:
-        # Determinism gate: a different pipelined worker count must
+        # Determinism gate: a different fan-out worker count must
         # reproduce every model metric bit for bit. (perf_suite
-        # additionally asserts serial == pipelined internally.)
+        # additionally asserts serial == fan-out internally.)
         other = run_perf_suite(args.driver, args.records,
                                args.threads + 1)["metrics"]
         a, b = model_metrics(metrics), model_metrics(other)
@@ -229,29 +216,8 @@ def main():
                           file=sys.stderr)
             return 1
         print(f"determinism gate OK: {len(a)} model metrics "
-              f"bit-identical across pipeline thread counts "
+              f"bit-identical across fan-out thread counts "
               f"{args.threads} and {args.threads + 1}")
-
-        # Resource gate: the chunked pipeline exists to bound
-        # residency, so its peak RSS must stay within
-        # RSS_GATE_RATIO x serial. Only meaningful when the driver
-        # could isolate each schedule's watermark (clear_refs).
-        if metrics.get("rss_isolated_ratio", 0.0) >= 1.0:
-            serial_rss = metrics["serial.peak_rss_kb"]
-            pipeline_rss = metrics["pipeline.peak_rss_kb"]
-            ratio = pipeline_rss / max(serial_rss, 1.0)
-            if ratio > RSS_GATE_RATIO:
-                print(f"RSS gate FAILED: pipeline peak RSS "
-                      f"{pipeline_rss / 1024:.1f} MB is {ratio:.2f}x "
-                      f"serial ({serial_rss / 1024:.1f} MB), limit "
-                      f"{RSS_GATE_RATIO}x", file=sys.stderr)
-                return 1
-            print(f"RSS gate OK: pipeline peak RSS is {ratio:.2f}x "
-                  f"serial (limit {RSS_GATE_RATIO}x)")
-        else:
-            print("RSS gate skipped: /proc/self/clear_refs not "
-                  "writable, per-schedule RSS isolation unavailable",
-                  file=sys.stderr)
 
     telemetry = None
     if args.telemetry_gate:
@@ -282,19 +248,16 @@ def main():
         "runs": int(metrics["runs"]),
         "model_digest": model_digest(metrics),
     }
-    for mode in ("serial", "pipeline"):
+    entry["fanout_threads"] = args.threads
+    for mode in ("serial", "fanout"):
         for field in ("records_per_sec", "wall_s", "acquire_s",
                       "simulate_s", "peak_rss_kb"):
             entry[f"{mode}_{field}"] = metrics[f"{mode}.{field}"]
-    # Chunked-pipeline residency telemetry (PR 6): the chunk size the
-    # sweep ran with, how many chunks were ever live at once, and the
-    # RSS ratio the gate above enforces (with whether the per-schedule
-    # watermark isolation that makes the ratio meaningful was active).
-    for field in ("pipeline.chunk_records_chunks",
-                  "pipeline.peak_resident_chunks",
-                  "pipeline_rss_ratio", "rss_isolated_ratio"):
+    # Whether each schedule's peak RSS is its own (the driver could
+    # reset the kernel watermark between them), and the fan-out speedup.
+    for field in ("fanout_speedup_ratio", "rss_isolated_ratio"):
         if field in metrics:
-            entry[field.replace(".", "_")] = metrics[field]
+            entry[field] = metrics[field]
     # Telemetry overhead measurement (PR 8): instrumentation-off vs
     # -on throughput on the same pinned sweep.
     if telemetry is not None:

@@ -8,10 +8,9 @@ the golden reports (tools/golden_reports.py) and the ``--no-timing``
 byte-compares check them, and the model digests fingerprint the
 same model output, hence the name.  Experiments must not smuggle
 timing into report metrics through ``addMetric`` keys.  The timing
-suffixes (``_s``, ``_per_sec``, ``_kb``, ``_ratio``, ``_chunks``)
-mark the deliberate exceptions: bench experiments whose suffixed
-metrics downstream gates (tools/bench_report.py) strip before
-comparing.
+suffixes (``_s``, ``_per_sec``, ``_kb``, ``_ratio``) mark the
+deliberate exceptions: bench experiments whose suffixed metrics
+downstream gates (tools/bench_report.py) strip before comparing.
 
 Checks:
 
@@ -38,7 +37,7 @@ from lintlib import (
 
 LINT_NAME = "fingerprint-safety"
 
-TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio", "_chunks")
+TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio")
 
 #: Files whose timing-suffixed metrics are *meant* to be timing:
 #: bench experiments gated by tools/bench_report.py, which strips

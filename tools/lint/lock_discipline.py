@@ -6,7 +6,7 @@ Two invariants the concurrency work depends on:
 1. Mutexes are held through RAII guards (lock_guard / unique_lock /
    scoped_lock / shared_lock), never via naked ``mutex.lock()`` /
    ``mutex.unlock()`` calls — an early return or exception between a
-   naked pair deadlocks the pipeline.  Calling ``.lock()`` /
+   naked pair deadlocks the sweep.  Calling ``.lock()`` /
    ``.unlock()`` *on a guard object* (unique_lock's deliberate
    unlock-relock window in trace_cache.cc) is the sanctioned
    exception, so the lint resolves the receiver: a call is flagged
@@ -19,7 +19,7 @@ Two invariants the concurrency work depends on:
    files; cold callbacks elsewhere may keep std::function.
 3. The per-run data-plane structures (index buckets, history buffers,
    prefetch buffers, the flat MSHR map) allocate through the run
-   arena (common/arena.hh: ArenaBuffer / ArenaAllocator); raw ``new``,
+   arena (common/arena.hh: ArenaBuffer); raw ``new``,
    ``malloc``-family calls, or ``make_unique`` in those files
    reintroduce the per-run global-heap traffic the arena exists to
    eliminate.  ZeroedBuffer (calloc semantics for stat counters) stays
@@ -51,7 +51,7 @@ HOT_PATH_NO_STD_FUNCTION = frozenset(
 )
 
 #: Arena-managed hot-path files (PR 10): every allocation here must go
-#: through ArenaBuffer / ArenaAllocator, never the global heap.
+#: through ArenaBuffer, never the global heap.
 ARENA_MANAGED_NO_RAW_ALLOC = frozenset(
     {
         "src/common/addr_map.hh",
@@ -118,8 +118,8 @@ def check(root):
                         line_of(code, match.start()),
                         LINT_NAME,
                         "raw heap allocation in an arena-managed "
-                        "hot-path file: use ArenaBuffer / "
-                        "ArenaAllocator (common/arena.hh) so per-run "
+                        "hot-path file: use ArenaBuffer "
+                        "(common/arena.hh) so per-run "
                         "storage comes from the run arena",
                     )
                 )
