@@ -172,8 +172,9 @@ BENCHMARK(BM_EventQueue);
  * rescheduling events, the pattern a running simulation puts on the
  * queue (cores and the memory controller keep a bounded number of
  * events in flight and every pop schedules a successor). This is the
- * bench that shows heap regrowth and per-event allocation churn —
- * the reserved vector heap holds capacity across the whole run.
+ * bench that shows node allocation churn: event nodes come from
+ * chunks that are never freed while the queue lives, so after warm-up
+ * every schedule reuses a freed node.
  */
 void
 BM_EventQueueSteadyState(benchmark::State &state)
@@ -182,7 +183,8 @@ BM_EventQueueSteadyState(benchmark::State &state)
     EventQueue queue;
     std::uint64_t executed = 0;
     // Self-rescheduling closure: each firing schedules the next, with
-    // a varying delay so heap order actually gets exercised.
+    // a varying delay so the wheel's buckets and bitmap scan actually
+    // get exercised.
     std::function<void()> tick;
     Cycle delay = 1;
     tick = [&]() {

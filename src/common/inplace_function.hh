@@ -12,6 +12,12 @@
  *
  * Move-only by design: event callbacks are consumed exactly once, and
  * requiring copyability would forbid capturing move-only state.
+ *
+ * emplace() builds a callable directly in an existing object and
+ * consume() invokes and destroys it through one fused thunk, so a
+ * callback that lives in one place from scheduling to dispatch (the
+ * event queue's nodes) pays one indirect call, not a relocate on the
+ * way in, another on the way out, an invoke and a destroy.
  */
 
 #ifndef STMS_COMMON_INPLACE_FUNCTION_HH
@@ -36,20 +42,17 @@ class InplaceFunction<R(Args...), Capacity>
     InplaceFunction() = default;
     InplaceFunction(std::nullptr_t) {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InplaceFunction> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    /** Callables this can hold: anything invocable as R(Args...)
+     *  except an InplaceFunction itself (that is a move). */
+    template <typename F>
+    static constexpr bool kAccepts =
+        !std::is_same_v<std::decay_t<F>, InplaceFunction> &&
+        std::is_invocable_r_v<R, std::decay_t<F> &, Args...>;
+
+    template <typename F, typename = std::enable_if_t<kAccepts<F>>>
     InplaceFunction(F &&fn)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= Capacity,
-                      "callable exceeds InplaceFunction capacity; "
-                      "raise the capacity at the use site");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned callable");
-        ::new (static_cast<void *>(storage_)) Fn(std::forward<F>(fn));
-        ops_ = &opsFor<Fn>;
+        construct(std::forward<F>(fn));
     }
 
     InplaceFunction(InplaceFunction &&other) noexcept
@@ -89,10 +92,32 @@ class InplaceFunction<R(Args...), Capacity>
         return ops_->invoke(storage_, std::forward<Args>(args)...);
     }
 
+    /** Destroy the held callable, if any, then build @p fn's callable
+     *  in this object's storage: it is never relocated. */
+    template <typename F, typename = std::enable_if_t<kAccepts<F>>>
+    void
+    emplace(F &&fn)
+    {
+        reset();
+        construct(std::forward<F>(fn));
+    }
+
+    /** Invoke the held callable and destroy it, through one indirect
+     *  call; this is empty afterwards, also if the call throws. */
+    R
+    consume(Args... args)
+    {
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        return ops->consume(storage_, std::forward<Args>(args)...);
+    }
+
   private:
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
+        /** invoke, then destroy (also when invoke throws). */
+        R (*consume)(void *, Args &&...);
         void (*relocate)(void *from, void *to) noexcept;
         void (*destroy)(void *) noexcept;
     };
@@ -103,12 +128,34 @@ class InplaceFunction<R(Args...), Capacity>
             return (*static_cast<Fn *>(self))(
                 std::forward<Args>(args)...);
         },
+        [](void *self, Args &&...args) -> R {
+            struct Destroy
+            {
+                Fn *fn;
+                ~Destroy() { fn->~Fn(); }
+            } destroy{static_cast<Fn *>(self)};
+            return (*destroy.fn)(std::forward<Args>(args)...);
+        },
         [](void *from, void *to) noexcept {
             ::new (to) Fn(std::move(*static_cast<Fn *>(from)));
             static_cast<Fn *>(from)->~Fn();
         },
         [](void *self) noexcept { static_cast<Fn *>(self)->~Fn(); },
     };
+
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Capacity,
+                      "callable exceeds InplaceFunction capacity; "
+                      "raise the capacity at the use site");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned callable");
+        ::new (static_cast<void *>(storage_)) Fn(std::forward<F>(fn));
+        ops_ = &opsFor<Fn>;
+    }
 
     void
     moveFrom(InplaceFunction &other) noexcept

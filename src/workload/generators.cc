@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <queue>
+#include <stdexcept>
 
 #include "common/log.hh"
 
@@ -295,7 +297,24 @@ void
 WorkloadGenerator::generateCore(CoreId core,
                                 std::vector<TraceRecord> &records) const
 {
-    records.reserve(spec_.recordsPerCore);
+    // An oversized records= is a user error: fail with exit 1 on
+    // whichever thread generates, never with an uncaught exception.
+    bool fits = true;
+    try {
+        records.reserve(spec_.recordsPerCore);
+    } catch (const std::length_error &) {
+        fits = false;
+    } catch (const std::bad_alloc &) {
+        fits = false;
+    }
+    if (!fits) {
+        stms_fatal("records=%llu per core is too many to hold in memory "
+                   "(workload %s, %u cores, %zu bytes a record); lower "
+                   "records=",
+                   static_cast<unsigned long long>(spec_.recordsPerCore),
+                   spec_.name.c_str(), static_cast<unsigned>(spec_.numCores),
+                   sizeof(TraceRecord));
+    }
     LaneGenerator lane(spec_, core);
     lane.fill(records, spec_.recordsPerCore);
 }

@@ -4,10 +4,15 @@
  *  fig9's ideal runs cover the unbounded table and its timing runs the
  *  MSHR map on the fixed-latency backend; mem_tech_sweep pins the
  *  event order of the queued and DRAM backends, which schedule their
- *  own events. A digest change means some model output changed —
- *  intended changes update the constants and say why. */
+ *  own events; a long-latency replay pins events scheduled beyond the
+ *  event queue's timing wheel. A digest change means some model
+ *  output changed — intended changes update the constants and say
+ *  why. */
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/hash.hh"
@@ -21,7 +26,9 @@ namespace
 {
 
 std::uint64_t
-serialDigest(const char *name)
+serialDigest(const char *name,
+             std::initializer_list<std::pair<const char *, const char *>>
+                 extra = {})
 {
     const Experiment *experiment = ExperimentRegistry::global().find(name);
     EXPECT_NE(experiment, nullptr) << name;
@@ -29,6 +36,8 @@ serialDigest(const char *name)
         return 0;
     Options options;
     options.set("records", "8192");
+    for (const auto &[key, value] : extra)
+        options.set(key, value);
     TraceCache traces;
     ExperimentRunner runner(traces, RunnerConfig{});
     const RunSet runs = runner.execute(*experiment, options);
@@ -48,6 +57,17 @@ TEST(ModelDigest, Fig7AndFig9ArePinned)
 TEST(ModelDigest, MemTechSweepIsPinned)
 {
     EXPECT_EQ(serialDigest("mem_tech_sweep"), 0xfe4f815c80851495ULL);
+}
+
+TEST(ModelDigest, LongHorizonBackendIsPinned)
+{
+    // A 6,000-cycle access latency puts every memory completion 4,096
+    // or more ticks ahead, so each one is scheduled past the event
+    // queue's timing wheel and must come back in (tick, seq) order.
+    EXPECT_EQ(serialDigest("ingest_replay",
+                           {{"workload", "dss-db2"},
+                            {"mem-backend", "fixed,latency=6000"}}),
+              0x6e6f8529ef4d9882ULL);
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <map>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -222,6 +225,50 @@ TEST(StandardSuite, AllWorkloadsBuildAndAreKnown)
         EXPECT_EQ(trace.totalRecords(), 4u * 4096u);
     }
     EXPECT_FALSE(isKnownWorkload("no-such-workload"));
+}
+
+void
+generateRecords(std::uint64_t records_per_core)
+{
+    WorkloadGenerator(makeWorkload("oltp-db2", records_per_core))
+        .generate();
+}
+
+// records=1048576T: more records than a vector can ever hold, so
+// reserve() throws std::length_error without allocating anything.
+constexpr std::uint64_t kOverMaxSize = 1ULL << 60;
+
+TEST(GeneratorDeath, RecordsBeyondMaxSizeFailCleanly)
+{
+    EXPECT_EXIT(generateRecords(kOverMaxSize),
+                ::testing::ExitedWithCode(1),
+                "records=1152921504606846976 per core");
+}
+
+TEST(GeneratorDeath, RecordsBeyondMaxSizeFailCleanlyOnAWorker)
+{
+    EXPECT_EXIT(std::thread(generateRecords, kOverMaxSize).join(),
+                ::testing::ExitedWithCode(1),
+                "records=1152921504606846976 per core");
+}
+
+TEST(GeneratorDeath, RecordsBeyondTheAddressSpaceLimitFailCleanly)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "a sanitizer's operator new reports out-of-memory "
+                    "and aborts itself; it never throws std::bad_alloc";
+#else
+    // records=1T: 16 TB of records, refused with std::bad_alloc under
+    // a 4 GB address-space limit, set in the death-test child only.
+    const auto limited = []() {
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = 4'000'000'000ULL;
+        setrlimit(RLIMIT_AS, &limit);
+        generateRecords(1ULL << 40);
+    };
+    EXPECT_EXIT(limited(), ::testing::ExitedWithCode(1),
+                "records=1099511627776 per core");
+#endif
 }
 
 } // namespace
