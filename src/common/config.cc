@@ -129,6 +129,24 @@ parseSize(const std::string &text)
     return static_cast<std::uint64_t>(bytes);
 }
 
+bool
+parseDecimal(const std::string &text, std::uint64_t &value)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t parsed = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (parsed > (UINT64_MAX - digit) / 10)
+            return false;
+        parsed = parsed * 10 + digit;
+    }
+    value = parsed;
+    return true;
+}
+
 std::string
 formatSize(std::uint64_t bytes)
 {

@@ -59,6 +59,14 @@ class Options
  */
 std::uint64_t parseSize(const std::string &text);
 
+/**
+ * Parse @p text as an unsigned decimal integer: one or more digits
+ * and nothing else, so no sign, space, base prefix or suffix. Leading
+ * zeros are decimal ("010" is 10). Returns false, leaving @p value
+ * untouched, on any other text or a value past 2^64 - 1.
+ */
+bool parseDecimal(const std::string &text, std::uint64_t &value);
+
 /** Render a byte count as a human-readable string ("64.0MB"). */
 std::string formatSize(std::uint64_t bytes);
 

@@ -1,7 +1,6 @@
 #include "driver/cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 #include "common/log.hh"
@@ -84,19 +83,8 @@ const char kUsage[] =
     "  key=value         experiment options (e.g. records=65536, "
     "chunk=4096)\n";
 
-/** Strict unsigned parse: the whole token must be a number. */
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 0);
-    return *end == '\0';
-}
-
 /**
- * Apply --threads: a strict non-negative integer. 0 is the auto
+ * Apply --threads: decimal digits only (parseDecimal). 0 is the auto
  * spelling (resolve std::thread::hardware_concurrency() at run
  * time); the resolved count is reported in the timing metadata and
  * never joins the experiment options, so model output stays
@@ -107,7 +95,7 @@ applyThreads(const std::string &value, DriverArgs &args,
              std::string &error)
 {
     std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > 4096) {
+    if (!parseDecimal(value, parsed) || parsed > 4096) {
         error = "--threads needs an integer in [0, 4096] "
                 "(0 = auto-detect)";
         return false;
@@ -127,7 +115,7 @@ applySampleEvery(const std::string &value, DriverArgs &args,
                  std::string &error)
 {
     std::uint64_t parsed = 0;
-    if (!parseUint(value, parsed) || parsed > (1ULL << 40)) {
+    if (!parseDecimal(value, parsed) || parsed > (1ULL << 40)) {
         error = "--sample-every needs an integer in [0, 2^40] "
                 "(0 = off)";
         return false;

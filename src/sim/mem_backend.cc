@@ -1,11 +1,9 @@
 #include "sim/mem_backend.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/mem_dram.hh"
 #include "sim/mem_queued.hh"
@@ -15,20 +13,12 @@ namespace stms
 namespace
 {
 
-/**
- * Parse a positive decimal integer; returns false on junk, zero, a
- * sign or whitespace (strtoull would read "-1" as 2^64 - 1), or a
- * value past 2^64 - 1.
- */
+/** A positive decimal integer: parseDecimal() and not zero. */
 bool
 parsePositive(const std::string &text, std::uint64_t &value)
 {
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || *end != '\0' || parsed == 0)
+    std::uint64_t parsed = 0;
+    if (!parseDecimal(text, parsed) || parsed == 0)
         return false;
     value = parsed;
     return true;
@@ -48,6 +38,23 @@ paramLimit(const std::string &key)
 }
 
 } // namespace
+
+std::uint64_t
+MemCtrlStats::totalBytes() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t value : bytes)
+        total += value;
+    return total;
+}
+
+std::uint64_t
+MemCtrlStats::overheadBytes() const
+{
+    return totalBytes() -
+           bytesFor(TrafficClass::DemandRead) -
+           bytesFor(TrafficClass::DemandWriteback);
+}
 
 const char *
 memBackendKindName(MemBackendKind kind)
@@ -296,18 +303,44 @@ RowBufferStats::metaHitRate() const
                                TrafficClass::MetaRecord});
 }
 
+MemBackend::MemBackend(EventQueue &events, const MemCtrlConfig &config,
+                       std::uint32_t channels)
+    : events_(events), numChannels_(channels),
+      functional_(config.functional)
+{
+    stms_assert(config.transferCycles > 0, "transferCycles must be > 0");
+    stms_assert(channels > 0, "memory backend needs >= 1 channel");
+}
+
 void
-MemBackend::account(MemCtrlStats &stats, TrafficClass cls, Priority prio,
-                    std::uint32_t blocks)
+MemBackend::request(TrafficClass cls, Priority prio, Addr addr,
+                    std::uint32_t blocks, Callback done)
 {
     stms_assert(blocks > 0, "memory request of zero blocks");
     const auto idx = static_cast<std::size_t>(cls);
-    ++stats.requests[idx];
-    stats.bytes[idx] += static_cast<std::uint64_t>(blocks) * kBlockBytes;
+    ++stats_.requests[idx];
+    stats_.bytes[idx] += static_cast<std::uint64_t>(blocks) * kBlockBytes;
     if (prio == Priority::High)
-        ++stats.highPrioRequests;
+        ++stats_.highPrioRequests;
     else
-        ++stats.lowPrioRequests;
+        ++stats_.lowPrioRequests;
+
+    if (functional_) {
+        // Zero-latency completion; traffic still counted above.
+        if (done)
+            done(events_.now());
+        return;
+    }
+    enqueue(cls, prio, addr, blocks, std::move(done));
+}
+
+double
+MemBackend::utilization(Cycle elapsed) const
+{
+    const double capacity =
+        static_cast<double>(elapsed) * static_cast<double>(numChannels_);
+    return elapsed == 0 ? 0.0
+                        : static_cast<double>(stats_.busyCycles) / capacity;
 }
 
 std::unique_ptr<MemBackend>
@@ -322,7 +355,7 @@ makeMemBackend(EventQueue &events, const MemBackendSpec &spec,
 
     switch (spec.kind) {
       case MemBackendKind::Fixed:
-        return std::make_unique<FixedLatencyBackend>(events, base);
+        return std::make_unique<QueuedBackend>(events, base, 1);
       case MemBackendKind::Queued:
         return std::make_unique<QueuedBackend>(
             events, base,

@@ -1,19 +1,22 @@
 /**
  * @file
- * Pluggable main-memory backend interface.
+ * Main-memory backends: the timing model behind MemorySystem.
  *
- * The paper's evaluation answers "is STMS meta-data traffic
- * affordable?" against a single fixed-latency memory model (Table 1).
- * The backend interface turns that model into an axis: the same
- * priority-arbitrated request stream can be served by the original
- * fixed-latency controller, a multi-channel queued model, or a
- * bank/row-timing DRAM model, so experiments can report which
- * conclusions survive a change of memory technology.
+ * The paper evaluates STMS against one memory model (Table 1): 45 ns
+ * access latency and 28.4 GB/s peak bandwidth in 64-byte transfers on
+ * a single shared data channel, where demand requests always win
+ * arbitration over prefetch and predictor meta-data traffic, which
+ * the paper finds "essential to minimize queueing-related stalls"
+ * (Sec. 4.3). The backend interface turns that model into an axis:
+ * the same priority-arbitrated request stream can be served by that
+ * channel (`fixed`), by N address-interleaved copies of it (`queued`),
+ * or by a bank/row-timing DRAM model (`dram`), so experiments can
+ * report which conclusions survive a change of memory technology.
  *
- * All backends share the request() contract of MemController: demand
- * requests (Priority::High) always win arbitration over prefetch and
- * meta-data traffic, completion callbacks fire exactly once, and
- * per-class byte accounting is identical across backends.
+ * MemBackend::request() states the contract every backend shares and
+ * owns the parts that are the same for all of them: per-class
+ * accounting, which feeds the traffic-overhead figures (Figs. 1, 7,
+ * 8), and the functional mode's inline completion.
  */
 
 #ifndef STMS_SIM_MEM_BACKEND_HH
@@ -24,15 +27,54 @@
 #include <string>
 
 #include "common/types.hh"
-#include "sim/memctrl.hh"
+#include "sim/event_queue.hh"
 
 namespace stms
 {
 
+/** Memory timing and arbitration configuration. */
+struct MemCtrlConfig
+{
+    /** DRAM access latency in cycles (45 ns at 4 GHz). */
+    Cycle accessLatency = 180;
+    /** Channel occupancy per 64-byte transfer (28.4 GB/s at 4 GHz). */
+    Cycle transferCycles = 9;
+    /**
+     * Functional mode: callbacks fire with zero latency and no
+     * bandwidth contention, but traffic is still counted. Used for
+     * trace-based coverage sweeps (the paper's own methodology mixes
+     * trace-based and cycle-accurate runs, Sec. 5.1).
+     */
+    bool functional = false;
+};
+
+/** Per-class traffic and queueing statistics. */
+struct MemCtrlStats
+{
+    std::array<std::uint64_t, kNumTrafficClasses> requests{};
+    std::array<std::uint64_t, kNumTrafficClasses> bytes{};
+    std::uint64_t highPrioRequests = 0;
+    std::uint64_t lowPrioRequests = 0;
+    /** Total cycles the channel was occupied transferring data. */
+    Cycle busyCycles = 0;
+
+    std::uint64_t
+    bytesFor(TrafficClass cls) const
+    {
+        return bytes[static_cast<std::size_t>(cls)];
+    }
+
+    /** Total bytes across all classes. */
+    std::uint64_t totalBytes() const;
+
+    /** Bytes of everything except demand reads and writebacks. */
+    std::uint64_t overheadBytes() const;
+};
+
 /** Which memory model serves requests. */
 enum class MemBackendKind : std::uint8_t
 {
-    Fixed,   ///< Original fixed-latency single channel (MemController).
+    Fixed,   ///< Table 1's channel: the queued model at one channel.
     Queued,  ///< Per-channel queues, address-interleaved channels.
     Dram,    ///< Ranks x banks with row-buffer timing.
 };
@@ -148,11 +190,11 @@ struct RowBufferStats
 };
 
 /**
- * Abstract memory backend: the timing model behind MemorySystem.
- *
- * request() carries the block-aligned physical address so backends
- * with internal structure (channels, banks, rows) can decode it;
- * the fixed-latency backend ignores it.
+ * Abstract memory backend. request() carries the block-aligned
+ * physical address so backends with internal structure (channels,
+ * banks, rows) can decode it. A backend implements only enqueue() and
+ * pendingRequests(); everything else is the same for all of them and
+ * lives here.
  */
 class MemBackend
 {
@@ -160,6 +202,9 @@ class MemBackend
     using Callback = TimedCallback;
 
     virtual ~MemBackend() = default;
+    /** Scheduled events hold the backend's address. */
+    MemBackend(const MemBackend &) = delete;
+    MemBackend &operator=(const MemBackend &) = delete;
 
     /**
      * Issue a request of @p blocks cache blocks at @p addr.
@@ -168,82 +213,51 @@ class MemBackend
      * unconditionally; in functional mode @p done fires immediately;
      * otherwise completions within one priority class targeting the
      * same address are FIFO, and High priority wins arbitration over
-     * Low whenever both compete for the same resource.
+     * Low whenever both compete for the same resource. @p done fires
+     * exactly once, with the tick its data is available (reads) or the
+     * write has drained; it may be null for fire-and-forget writes.
      */
-    virtual void request(TrafficClass cls, Priority prio, Addr addr,
-                         std::uint32_t blocks, Callback done) = 0;
+    void request(TrafficClass cls, Priority prio, Addr addr,
+                 std::uint32_t blocks, Callback done);
 
-    virtual const MemCtrlStats &stats() const = 0;
-    /** Zero all counters: stats, queue-delay histogram, row stats. */
-    virtual void resetStats() = 0;
+    const MemCtrlStats &stats() const { return stats_; }
 
-    /** Queue-delay distribution of low-priority traffic (cycles). */
-    virtual const LinearHistogram &lowPrioDelay() const = 0;
-
-    /** Fraction of elapsed x channels the data bus was busy. */
-    virtual double utilization(Cycle elapsed) const = 0;
-
-    /** Backend name for reports ("fixed", "queued", "dram"). */
-    virtual const char *kindName() const = 0;
-
-    /** Number of independent data channels. */
-    virtual std::uint32_t channels() const = 0;
+    /** Zero all counters: traffic stats and row stats. */
+    void
+    resetStats()
+    {
+        stats_ = MemCtrlStats{};
+        row_ = RowBufferStats{};
+    }
 
     /** Row-buffer outcome counters; all-zero for row-less backends. */
-    virtual RowBufferStats rowStats() const { return {}; }
+    const RowBufferStats &rowStats() const { return row_; }
+
+    /** Number of independent data channels. */
+    std::uint32_t channels() const { return numChannels_; }
+
+    /** Fraction of elapsed x channels the data buses were busy. */
+    double utilization(Cycle elapsed) const;
 
     /** Requests queued (not yet granted a channel) right now — a
      *  telemetry probe for the epoch sampler's queue-depth series. */
-    virtual std::size_t pendingRequests() const { return 0; }
+    virtual std::size_t pendingRequests() const = 0;
 
   protected:
-    /** Shared per-request accounting (identical across backends). */
-    static void account(MemCtrlStats &stats, TrafficClass cls,
-                        Priority prio, std::uint32_t blocks);
-};
+    MemBackend(EventQueue &events, const MemCtrlConfig &config,
+               std::uint32_t channels);
 
-/**
- * Fixed-latency backend: wraps the original MemController unchanged,
- * ignoring addresses. Bit-identical to the pre-backend simulator by
- * construction (the conformance and identity tests assert it).
- */
-class FixedLatencyBackend final : public MemBackend
-{
-  public:
-    FixedLatencyBackend(EventQueue &events, const MemCtrlConfig &config)
-        : ctrl_(events, config)
-    {
-    }
+    /** Queue a timing-mode request; request() has accounted it. */
+    virtual void enqueue(TrafficClass cls, Priority prio, Addr addr,
+                         std::uint32_t blocks, Callback done) = 0;
 
-    void
-    request(TrafficClass cls, Priority prio, Addr, std::uint32_t blocks,
-            Callback done) override
-    {
-        ctrl_.request(cls, prio, blocks, std::move(done));
-    }
-
-    const MemCtrlStats &stats() const override { return ctrl_.stats(); }
-    void resetStats() override { ctrl_.resetStats(); }
-    const LinearHistogram &
-    lowPrioDelay() const override
-    {
-        return ctrl_.lowPrioDelay();
-    }
-    double
-    utilization(Cycle elapsed) const override
-    {
-        return ctrl_.utilization(elapsed);
-    }
-    const char *kindName() const override { return "fixed"; }
-    std::uint32_t channels() const override { return 1; }
-    std::size_t
-    pendingRequests() const override
-    {
-        return ctrl_.pendingRequests();
-    }
+    EventQueue &events_;
+    MemCtrlStats stats_;
+    RowBufferStats row_;
 
   private:
-    MemController ctrl_;
+    std::uint32_t numChannels_;
+    bool functional_;
 };
 
 /**

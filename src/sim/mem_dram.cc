@@ -14,11 +14,9 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 } // namespace
 
 DramBackend::DramBackend(EventQueue &events, const DramConfig &config)
-    : events_(events), config_(config), channels_(config.channels)
+    : MemBackend(events, config.base, config.channels), config_(config),
+      channels_(config.channels)
 {
-    stms_assert(config_.base.transferCycles > 0,
-                "transferCycles must be > 0");
-    stms_assert(config_.channels > 0, "dram backend needs >= 1 channel");
     stms_assert(config_.ranks > 0 && config_.banksPerRank > 0,
                 "dram backend needs >= 1 bank");
     stms_assert(config_.rowBytes >= kBlockBytes &&
@@ -50,28 +48,27 @@ DramBackend::decode(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
                    banksPerChannel_);
 }
 
+std::size_t
+DramBackend::pendingRequests() const
+{
+    std::size_t pending = 0;
+    for (const Channel &channel : channels_)
+        pending += channel.high.size() + channel.low.size();
+    return pending;
+}
+
 void
-DramBackend::request(TrafficClass cls, Priority prio, Addr addr,
+DramBackend::enqueue(TrafficClass cls, Priority prio, Addr addr,
                      std::uint32_t blocks, Callback done)
 {
-    account(stats_, cls, prio, blocks);
-
-    if (config_.base.functional) {
-        if (done)
-            done(events_.now());
-        return;
-    }
-
     std::uint32_t channelIdx = 0;
     std::uint32_t bank = 0;
     std::uint64_t row = 0;
     decode(addr, channelIdx, bank, row);
 
     Channel &channel = channels_[channelIdx];
-    Request request{cls,  prio, blocks, std::move(done),
-                    events_.now(), bank, row};
     auto &queue = (prio == Priority::High) ? channel.high : channel.low;
-    queue.push_back(std::move(request));
+    queue.push_back(Request{cls, blocks, std::move(done), bank, row});
     issueScan(channelIdx);
 }
 
@@ -165,9 +162,6 @@ DramBackend::issue(Channel &channel, Request request)
         bank.openRow = kNoRow;
     }
 
-    if (request.prio == Priority::Low)
-        lowDelay_.sample(start - request.arrival);
-
     const Cycle done_at = bus_start + occupancy;
     if (request.done) {
         events_.scheduleAt(done_at,
@@ -196,23 +190,6 @@ DramBackend::scheduleKick(std::uint32_t channelIdx)
         ch.kickAt = kNoKick;
         issueScan(channelIdx);
     });
-}
-
-void
-DramBackend::resetStats()
-{
-    stats_ = MemCtrlStats{};
-    row_ = RowBufferStats{};
-    lowDelay_.reset();
-}
-
-double
-DramBackend::utilization(Cycle elapsed) const
-{
-    const double capacity = static_cast<double>(elapsed) *
-                            static_cast<double>(config_.channels);
-    return elapsed == 0 ? 0.0
-                        : static_cast<double>(stats_.busyCycles) / capacity;
 }
 
 } // namespace stms

@@ -21,6 +21,7 @@
 #define STMS_SIM_MEM_DRAM_HH
 
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "sim/mem_backend.hh"
@@ -51,33 +52,7 @@ class DramBackend final : public MemBackend
   public:
     DramBackend(EventQueue &events, const DramConfig &config);
 
-    void request(TrafficClass cls, Priority prio, Addr addr,
-                 std::uint32_t blocks, Callback done) override;
-
-    const MemCtrlStats &stats() const override { return stats_; }
-    void resetStats() override;
-    const LinearHistogram &
-    lowPrioDelay() const override
-    {
-        return lowDelay_;
-    }
-    double utilization(Cycle elapsed) const override;
-    const char *kindName() const override { return "dram"; }
-    std::uint32_t
-    channels() const override
-    {
-        return config_.channels;
-    }
-    RowBufferStats rowStats() const override { return row_; }
-
-    std::size_t
-    pendingRequests() const override
-    {
-        std::size_t pending = 0;
-        for (const Channel &channel : channels_)
-            pending += channel.high.size() + channel.low.size();
-        return pending;
-    }
+    std::size_t pendingRequests() const override;
 
   private:
     /** Sentinel: no row open in this bank. */
@@ -89,10 +64,8 @@ class DramBackend final : public MemBackend
     struct Request
     {
         TrafficClass cls;
-        Priority prio;
         std::uint32_t blocks;
         Callback done;
-        Cycle arrival;
         std::uint32_t bank;
         std::uint64_t row;
     };
@@ -116,6 +89,8 @@ class DramBackend final : public MemBackend
         Cycle kickAt = kNoKick;
     };
 
+    void enqueue(TrafficClass cls, Priority prio, Addr addr,
+                 std::uint32_t blocks, Callback done) override;
     void decode(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
                 std::uint64_t &row) const;
     /** Issue every currently-serviceable request on @p channel. */
@@ -126,14 +101,10 @@ class DramBackend final : public MemBackend
     void issue(Channel &channel, Request request);
     void scheduleKick(std::uint32_t channelIdx);
 
-    EventQueue &events_;
     DramConfig config_;
     std::uint32_t rowBlocks_;
     std::uint32_t banksPerChannel_;
     std::vector<Channel> channels_;
-    MemCtrlStats stats_;
-    RowBufferStats row_;
-    LinearHistogram lowDelay_{64, 64};
 };
 
 } // namespace stms

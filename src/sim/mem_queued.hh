@@ -1,13 +1,15 @@
 /**
  * @file
- * Multi-channel queued memory backend.
+ * Queued memory backend: N copies of Table 1's channel.
  *
- * Generalizes MemController to N independent data channels, each with
- * its own high/low priority queues and transfer pipeline. Blocks are
- * address-interleaved across channels (channel = block mod N), which
- * is the standard fine-grained interleaving that spreads both the
- * demand stream and STMS's sequential history-buffer stream. With
- * channels=1 the model is cycle-identical to MemController.
+ * Each data channel has its own high/low priority queues and transfer
+ * pipeline. Reads deliver data one access latency plus the transfer
+ * after the grant; the channel stays busy for transferCycles per
+ * block, which is what bounds peak bandwidth. Blocks are
+ * address-interleaved across channels (channel = block mod N), the
+ * standard fine-grained interleaving that spreads both the demand
+ * stream and STMS's sequential history-buffer stream. The `fixed`
+ * backend is this model at one channel.
  */
 
 #ifndef STMS_SIM_MEM_QUEUED_HH
@@ -27,40 +29,13 @@ class QueuedBackend final : public MemBackend
     QueuedBackend(EventQueue &events, const MemCtrlConfig &config,
                   std::uint32_t channels);
 
-    void request(TrafficClass cls, Priority prio, Addr addr,
-                 std::uint32_t blocks, Callback done) override;
-
-    const MemCtrlStats &stats() const override { return stats_; }
-    void resetStats() override;
-    const LinearHistogram &
-    lowPrioDelay() const override
-    {
-        return lowDelay_;
-    }
-    double utilization(Cycle elapsed) const override;
-    const char *kindName() const override { return "queued"; }
-    std::uint32_t
-    channels() const override
-    {
-        return static_cast<std::uint32_t>(channels_.size());
-    }
-
-    std::size_t
-    pendingRequests() const override
-    {
-        std::size_t pending = 0;
-        for (const Channel &channel : channels_)
-            pending += channel.high.size() + channel.low.size();
-        return pending;
-    }
+    std::size_t pendingRequests() const override;
 
   private:
     struct Request
     {
-        TrafficClass cls;
         std::uint32_t blocks;
         Callback done;
-        Cycle arrival;
     };
 
     struct Channel
@@ -70,14 +45,14 @@ class QueuedBackend final : public MemBackend
         bool busy = false;
     };
 
+    void enqueue(TrafficClass cls, Priority prio, Addr addr,
+                 std::uint32_t blocks, Callback done) override;
     void grantNext(Channel &channel);
     void startTransfer(Channel &channel, Request request);
 
-    EventQueue &events_;
-    MemCtrlConfig config_;
+    Cycle accessLatency_;
+    Cycle transferCycles_;
     std::vector<Channel> channels_;
-    MemCtrlStats stats_;
-    LinearHistogram lowDelay_{64, 64};
 };
 
 } // namespace stms

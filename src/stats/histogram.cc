@@ -8,53 +8,6 @@
 namespace stms
 {
 
-LinearHistogram::LinearHistogram(std::uint64_t bucket_width,
-                                 std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets + 1, 0)
-{
-    stms_assert(bucket_width > 0, "LinearHistogram width must be nonzero");
-    stms_assert(num_buckets > 0, "LinearHistogram needs buckets");
-}
-
-void
-LinearHistogram::sample(std::uint64_t value, std::uint64_t weight)
-{
-    std::size_t idx = static_cast<std::size_t>(value / width_);
-    idx = std::min(idx, buckets_.size() - 1);
-    buckets_[idx] += weight;
-    count_ += weight;
-    sum_ += static_cast<double>(value) * static_cast<double>(weight);
-}
-
-void
-LinearHistogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = 0;
-    sum_ = 0.0;
-}
-
-double
-LinearHistogram::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-std::uint64_t
-LinearHistogram::percentile(double fraction) const
-{
-    if (count_ == 0)
-        return 0;
-    const double target = fraction * static_cast<double>(count_);
-    std::uint64_t running = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        running += buckets_[i];
-        if (static_cast<double>(running) >= target)
-            return (i + 1) * width_ - 1;
-    }
-    return buckets_.size() * width_;
-}
-
 Log2Histogram::Log2Histogram(std::size_t num_buckets)
     : buckets_(num_buckets, 0)
 {

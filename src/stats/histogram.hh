@@ -2,9 +2,8 @@
  * @file
  * Histogram statistics.
  *
- * The evaluation needs two histogram shapes: linear-bucket histograms
- * (e.g., MLP distribution) and log2-bucket histograms (temporal-stream
- * length distribution for Fig. 6 left, reuse distances for Fig. 5).
+ * Log2-bucket histograms: the temporal-stream length distribution
+ * for Fig. 6 (left).
  */
 
 #ifndef STMS_STATS_HISTOGRAM_HH
@@ -18,31 +17,6 @@
 
 namespace stms
 {
-
-/** Histogram with fixed-width linear buckets plus an overflow bucket. */
-class LinearHistogram
-{
-  public:
-    LinearHistogram(std::uint64_t bucket_width, std::size_t num_buckets);
-
-    void sample(std::uint64_t value, std::uint64_t weight = 1);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t bucketLow(std::size_t i) const { return i * width_; }
-
-    /** Smallest value v such that >= fraction of samples are <= v. */
-    std::uint64_t percentile(double fraction) const;
-
-  private:
-    std::uint64_t width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-};
 
 /**
  * Histogram with power-of-two buckets: bucket i holds values in

@@ -138,6 +138,25 @@ TEST(ParseSize, BenchRecordsOverrideIsParsedLikeRecords)
     EXPECT_EQ(driver::plannedRecords(none, 7), 7u);
 }
 
+TEST(ParseDecimal, DigitsOnly)
+{
+    std::uint64_t value = 0;
+    EXPECT_TRUE(parseDecimal("0", value));
+    EXPECT_EQ(value, 0u);
+    EXPECT_TRUE(parseDecimal("010", value));  // Not octal.
+    EXPECT_EQ(value, 10u);
+    EXPECT_TRUE(parseDecimal("18446744073709551615", value));
+    EXPECT_EQ(value, ~0ULL);
+
+    value = 7;
+    for (const char *text :
+         {"", "0x4", "+3", "-1", " 3", "3 ", "1e3", "8K", "abc",
+          "18446744073709551616", "99999999999999999999"}) {
+        EXPECT_FALSE(parseDecimal(text, value)) << text;
+        EXPECT_EQ(value, 7u) << text;
+    }
+}
+
 TEST(FormatSize, HumanReadable)
 {
     EXPECT_EQ(formatSize(0), "0.0B");

@@ -107,6 +107,20 @@ TEST(DriverCli, BadThreadsRejected)
     parse({"--threads", "8x"}, /*expect_ok=*/false);
     parse({"--threads", "-2"}, /*expect_ok=*/false);
     parse({"--threads", "5000"}, /*expect_ok=*/false);
+    // Decimal digits only: no base prefix, sign or space.
+    parse({"--threads", "0x4"}, /*expect_ok=*/false);
+    parse({"--threads", "+3"}, /*expect_ok=*/false);
+    parse({"--threads", " 3"}, /*expect_ok=*/false);
+}
+
+TEST(DriverCli, IntegerFlagsAreDecimal)
+{
+    // A leading zero does not switch to octal: 010 is 10, as in
+    // records=010.
+    EXPECT_EQ(parse({"--threads", "010"}).threads, 10u);
+    EXPECT_EQ(parse({"--sample-every=010"}).sampleEvery, 10u);
+    parse({"--sample-every", "0x10"}, /*expect_ok=*/false);
+    parse({"--sample-every", "+8"}, /*expect_ok=*/false);
 }
 
 TEST(DriverCli, UnknownTokensRejected)

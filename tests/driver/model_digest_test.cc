@@ -2,10 +2,10 @@
  *  plans, run serially at records=8192, must fold to fixed model
  *  digests. fig7 covers the bounded index table in functional mode;
  *  fig9's ideal runs cover the unbounded table and its timing runs the
- *  MSHR map on the fixed-latency backend; mem_tech_sweep pins the
- *  event order of the queued and DRAM backends, which schedule their
- *  own events; a long-latency replay pins events scheduled beyond the
- *  event queue's timing wheel. A digest change means some model
+ *  MSHR map on the fixed backend; mem_tech_sweep pins the event order
+ *  of the queued and DRAM backends, which schedule their own events;
+ *  a long-latency replay pins events scheduled beyond the event
+ *  queue's timing wheel. A digest change means some model
  *  output changed — intended changes update the constants and say
  *  why. */
 
@@ -67,6 +67,23 @@ TEST(ModelDigest, LongHorizonBackendIsPinned)
     EXPECT_EQ(serialDigest("ingest_replay",
                            {{"workload", "dss-db2"},
                             {"mem-backend", "fixed,latency=6000"}}),
+              0x6e6f8529ef4d9882ULL);
+}
+
+// The fixed backend is the queued model at one channel, so spelling
+// it that way must reproduce the fixed pins above.
+TEST(ModelDigest, Fig9OnOneQueuedChannelIsPinned)
+{
+    EXPECT_EQ(serialDigest("fig9", {{"mem-backend", "queued,channels=1"}}),
+              0x0e3ba7540db43591ULL);
+}
+
+TEST(ModelDigest, LongHorizonOnOneQueuedChannelIsPinned)
+{
+    EXPECT_EQ(serialDigest("ingest_replay",
+                           {{"workload", "dss-db2"},
+                            {"mem-backend",
+                             "queued,channels=1,latency=6000"}}),
               0x6e6f8529ef4d9882ULL);
 }
 

@@ -1,4 +1,4 @@
-/** @file Unit tests for linear and log2 histograms. */
+/** @file Unit tests for log2 histograms. */
 
 #include <gtest/gtest.h>
 
@@ -8,53 +8,6 @@ namespace stms
 {
 namespace
 {
-
-TEST(LinearHistogram, BucketsAndMean)
-{
-    LinearHistogram hist(10, 5);
-    hist.sample(0);
-    hist.sample(9);
-    hist.sample(10);
-    hist.sample(49);
-    EXPECT_EQ(hist.count(), 4u);
-    EXPECT_EQ(hist.bucketCount(0), 2u);
-    EXPECT_EQ(hist.bucketCount(1), 1u);
-    EXPECT_EQ(hist.bucketCount(4), 1u);
-    EXPECT_DOUBLE_EQ(hist.mean(), (0 + 9 + 10 + 49) / 4.0);
-}
-
-TEST(LinearHistogram, OverflowGoesToLastBucket)
-{
-    LinearHistogram hist(10, 3);
-    hist.sample(1000);
-    EXPECT_EQ(hist.bucketCount(3), 1u);
-}
-
-TEST(LinearHistogram, WeightedSamples)
-{
-    LinearHistogram hist(4, 4);
-    hist.sample(2, 10);
-    EXPECT_EQ(hist.count(), 10u);
-    EXPECT_EQ(hist.bucketCount(0), 10u);
-}
-
-TEST(LinearHistogram, Percentile)
-{
-    LinearHistogram hist(1, 100);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        hist.sample(v);
-    EXPECT_NEAR(static_cast<double>(hist.percentile(0.5)), 49.0, 1.0);
-    EXPECT_NEAR(static_cast<double>(hist.percentile(0.9)), 89.0, 1.0);
-}
-
-TEST(LinearHistogram, ResetClears)
-{
-    LinearHistogram hist(10, 3);
-    hist.sample(5);
-    hist.reset();
-    EXPECT_EQ(hist.count(), 0u);
-    EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
-}
 
 TEST(Log2Histogram, BucketBoundaries)
 {

@@ -41,12 +41,19 @@ from lintlib import (
 
 LINT_NAME = "lock-discipline"
 
-#: Files PR 5 converted to InplaceFunction; std::function is banned
-#: here (hot path: per-event / per-record allocation).
+#: Hot-path files whose callbacks are InplaceFunction (the event
+#: queue, TimedCallback, and the memory backends every completion
+#: passes through); std::function is banned here (per-event /
+#: per-request heap allocation).
 HOT_PATH_NO_STD_FUNCTION = frozenset(
     {
         "src/sim/event_queue.hh",
         "src/common/types.hh",
+        "src/sim/mem_backend.hh",
+        "src/sim/mem_queued.hh",
+        "src/sim/mem_queued.cc",
+        "src/sim/mem_dram.hh",
+        "src/sim/mem_dram.cc",
     }
 )
 

@@ -20,6 +20,7 @@ class LockDisciplineTest(unittest.TestCase):
             ("src/driver/bad_lock.cc", 9),    # g_mutex.lock()
             ("src/driver/bad_lock.cc", 11),   # g_mutex.unlock()
             ("src/sim/event_queue.hh", 6),    # std::function
+            ("src/sim/mem_queued.hh", 7),     # std::function
             ("src/core/index_bucket.hh", 11),  # raw new
             ("src/core/index_bucket.hh", 12),  # std::malloc
             ("src/core/index_bucket.hh", 13),  # make_unique
