@@ -129,7 +129,7 @@ BENCHMARK(BM_CacheProbeHit);
  * runTrace() over a pregenerated trace — TraceCore walking cursor
  * chunks with a plain pointer, the warmup-barrier counter, the L1
  * fast path, and the event queue behind it. Items = trace records,
- * so items/sec here is the same records/sec unit perf_suite tracks;
+ * so items/sec here is the same records/sec unit sweepbench reports;
  * this is the bench that catches inner-loop regressions without a
  * full sweep.
  */

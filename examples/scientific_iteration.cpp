@@ -51,11 +51,12 @@ main(int argc, char **argv)
         iteration * 2, iteration * 4};
 
     for (std::uint64_t entries : points) {
-        StmsConfig config = makeIdealTmsConfig();
-        config.historyEntriesPerCore = entries;
         // Trace-based coverage run: functional memory timing.
-        RunOutput out =
-            runTrace(trace, defaultSimConfig(true), config);
+        RunConfig config;
+        config.sim = defaultSimConfig(true);
+        config.stms = makeIdealTmsConfig();
+        config.stms->historyEntriesPerCore = entries;
+        RunOutput out = runTrace(trace, config);
         std::printf("%-18llu %-12.1f %s\n",
                     static_cast<unsigned long long>(entries),
                     100.0 * out.stmsCoverage,

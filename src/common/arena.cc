@@ -97,16 +97,6 @@ Arena::overflowAllocate(std::size_t bytes, std::size_t align)
 }
 
 void
-Arena::trim()
-{
-    reset();
-    for (const Block &block : blocks_)
-        ::operator delete(block.data, std::align_val_t{kAlign});
-    blocks_.clear();
-    reserved_ = 0;
-}
-
-void
 Arena::reset()
 {
     cursorBlock_ = 0;
@@ -125,15 +115,6 @@ Arena *
 currentArena()
 {
     return tls_current_arena;
-}
-
-void
-trimThreadRunArena()
-{
-    Arena &arena = threadRunArena();
-    if (tls_current_arena == &arena)
-        return;  // A run is live on this thread; its storage is in use.
-    arena.trim();
 }
 
 ArenaScope::ArenaScope(Arena *arena) : previous_(tls_current_arena)

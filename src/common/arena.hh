@@ -83,14 +83,6 @@ class Arena
      */
     void reset();
 
-    /**
-     * reset(), then return every block to the OS. For measurement
-     * isolation points (perf_suite's per-schedule RSS watermark) where
-     * retained warm pages would be double-counted against a later
-     * phase; normal run-to-run reuse never calls this.
-     */
-    void trim();
-
     /** Bytes handed out since the last reset (in-block only). */
     std::size_t allocatedBytes() const { return allocated_; }
 
@@ -123,13 +115,6 @@ class Arena
 
 /** The calling thread's active arena, or nullptr (heap fallback). */
 Arena *currentArena();
-
-/**
- * Release the calling thread's cached run arena back to the OS. A
- * no-op while a ScopedRunArena is live on this thread (the storage is
- * in use). Only measurement code should need this; see Arena::trim().
- */
-void trimThreadRunArena();
 
 /**
  * Install @p arena as the calling thread's active arena for the

@@ -108,23 +108,39 @@ parseSize(const std::string &text)
 {
     if (text.empty())
         return 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
+    // Digits, an optional fraction and at most one suffix, so strtod
+    // below never sees a sign, space, exponent, hex or inf/nan.
+    auto isDigit = [](char c) { return c >= '0' && c <= '9'; };
+    std::size_t end = 0;
+    while (end < text.size() && isDigit(text[end]))
+        ++end;
+    bool valid = end > 0;
+    if (valid && end < text.size() && text[end] == '.') {
+        const std::size_t fraction = ++end;
+        while (end < text.size() && isDigit(text[end]))
+            ++end;
+        valid = end > fraction;
+    }
     std::uint64_t scale = 1;
-    if (end && *end) {
-        switch (std::toupper(static_cast<unsigned char>(*end))) {
+    if (valid && end + 1 == text.size()) {
+        switch (std::toupper(static_cast<unsigned char>(text[end]))) {
           case 'K': scale = 1ULL << 10; break;
           case 'M': scale = 1ULL << 20; break;
           case 'G': scale = 1ULL << 30; break;
           case 'T': scale = 1ULL << 40; break;
-          default:
-            stms_fatal("bad size suffix in '%s'", text.c_str());
+          default: valid = false;
         }
+    } else if (end != text.size()) {
+        valid = false;
     }
-    // Converting a negative, NaN or out-of-range double to uint64_t
-    // is undefined, so those values stop here.
-    const double bytes = value * static_cast<double>(scale);
-    if (!(bytes >= 0.0 && bytes < 0x1p64))
+    if (!valid)
+        stms_fatal("bad size '%s': expected decimal digits, an optional "
+                   "fraction and one K, M, G or T suffix", text.c_str());
+    // Converting a double at or past 2^64 to uint64_t is undefined,
+    // so those values stop here.
+    const double bytes =
+        std::strtod(text.c_str(), nullptr) * static_cast<double>(scale);
+    if (!(bytes < 0x1p64))
         stms_fatal("size '%s' is out of range [0, 2^64)", text.c_str());
     return static_cast<std::uint64_t>(bytes);
 }

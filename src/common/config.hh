@@ -53,9 +53,11 @@ class Options
 };
 
 /**
- * Parse a size string like "64M", "8K", "512" into bytes. A
- * negative, non-finite or >= 2^64 value (after the suffix scale) is
- * fatal (exit 1), as is an unknown suffix.
+ * Parse a size string like "64M", "8K", "1.5K", "512" into bytes:
+ * decimal digits, optionally '.' and more digits, then at most one
+ * K, M, G or T (either case). The empty string is 0. Any other
+ * spelling (sign, space, exponent, base prefix, a second suffix
+ * letter) is fatal (exit 1), as is a value >= 2^64 after the scale.
  */
 std::uint64_t parseSize(const std::string &text);
 

@@ -42,9 +42,9 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
 /**
  * 64-bit FNV-1a over a byte range. Used where a *stable* hash of
- * serialized output matters — the model digests (perf_suite's
- * model_digest, the ModelDigest tests, the sweep benchmark's check)
- * are FNV-1a values pinned across builds and machines, so this
+ * serialized output matters — the model digests (the ModelDigest
+ * tests, the sweep benchmark's check) are FNV-1a values pinned
+ * across builds and machines, so this
  * function must never change. Chain calls by passing the previous
  * result as @p seed.
  */

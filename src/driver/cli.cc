@@ -7,7 +7,6 @@
 #include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "results/store.hh"
-#include "telemetry/sampler.hh"
 #include "telemetry/trace_writer.hh"
 
 namespace stms::driver
@@ -408,19 +407,16 @@ runExperiments(const DriverArgs &args)
 }
 
 /**
- * Apply the parsed telemetry/logging globals. --verbose is the
- * legacy debug spelling; an explicit --log-level wins over it.
- * Sampling flows through the process-wide telemetry global so nested
- * runners (perf_suite's inner sweeps) inherit the flag.
+ * Apply the parsed log level. --verbose is the legacy debug
+ * spelling; an explicit --log-level wins over it.
  */
 void
-applyTelemetryGlobals(const DriverArgs &args)
+applyLogging(const DriverArgs &args)
 {
     if (args.logLevel != DriverArgs::kLogUnset)
         setLogLevel(static_cast<LogLevel>(args.logLevel));
     else if (args.verbose)
         setLogLevel(LogLevel::Debug);
-    telemetry::setGlobalSampleEvery(args.sampleEvery);
 }
 
 } // namespace
@@ -583,7 +579,7 @@ driverMain(int argc, char **argv)
         std::fputs(kUsage, stdout);
         return 0;
     }
-    applyTelemetryGlobals(args);
+    applyLogging(args);
     if (args.list) {
         printList(ExperimentRegistry::global());
         return 0;

@@ -18,7 +18,6 @@ registerBuiltinExperiments(ExperimentRegistry &registry)
     registry.add(makeFig9Performance());
     registry.add(makeTable2Mlp());
     registry.add(makeMemTechSweep());
-    registry.add(makePerfSuite());
     registry.add(makeIngestReplay());
     registry.add(makeSynthVsIngest());
     registry.add(makeAblateBucket());

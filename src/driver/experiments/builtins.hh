@@ -28,7 +28,6 @@ std::unique_ptr<Experiment> makeFig8Sampling();
 std::unique_ptr<Experiment> makeFig9Performance();
 std::unique_ptr<Experiment> makeTable2Mlp();
 std::unique_ptr<Experiment> makeMemTechSweep();
-std::unique_ptr<Experiment> makePerfSuite();
 std::unique_ptr<Experiment> makeAblateBucket();
 std::unique_ptr<Experiment> makeAblatePriority();
 std::unique_ptr<Experiment> makeAblateSharing();

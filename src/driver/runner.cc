@@ -9,11 +9,7 @@
 #include <vector>
 
 #include <sys/resource.h>
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 
-#include "common/arena.hh"
 #include "common/log.hh"
 #include "telemetry/trace_writer.hh"
 
@@ -88,35 +84,6 @@ peakRssKb()
     return 0;
 }
 
-bool
-resetPeakRss()
-{
-    // The run arena retains its blocks across runs by design (warm
-    // reuse); for the same double-counting reason as malloc_trim
-    // below, release this thread's cached run arena so a later phase
-    // running on *other* threads is not floored by it.
-    trimThreadRunArena();
-#ifdef __GLIBC__
-    // Return freed heap to the kernel first: malloc retains freed
-    // pages in its arenas, so without the trim the watermark resets
-    // to the previous phase's near-peak RSS and a later phase that
-    // allocates from *new* threads (fresh arenas) double-counts that
-    // retained floor on top of its own footprint.
-    malloc_trim(0);
-#endif
-    // Writing "5" to clear_refs resets VmHWM to the *current* RSS, so
-    // a measurement taken after this isolates one phase's high-water
-    // mark instead of inheriting every earlier allocation's. Linux
-    // only, and some sandboxes deny the write — callers must treat
-    // false as "peak is still the process-lifetime value".
-    std::ofstream clear("/proc/self/clear_refs");
-    if (!clear.is_open())
-        return false;
-    clear << "5";
-    clear.flush();
-    return clear.good();
-}
-
 ExperimentRunner::ExperimentRunner(TraceCache &traces,
                                    RunnerConfig config)
     : traces_(traces), config_(config)
@@ -157,12 +124,9 @@ ExperimentRunner::execute(const Experiment &experiment,
     // Options store: the epoch is observation, not configuration.
     // Probes only read counters, so model output is untouched (the
     // telemetry determinism tests byte-compare exactly that).
-    const std::uint64_t sample_every =
-        config_.sampleEvery != 0 ? config_.sampleEvery
-                                 : telemetry::globalSampleEvery();
-    if (sample_every != 0) {
+    if (config_.sampleEvery != 0) {
         for (RunSpec &spec : plan)
-            spec.config.sim.sampleEvery = sample_every;
+            spec.config.sim.sampleEvery = config_.sampleEvery;
     }
 
     ExecStats local;
@@ -267,7 +231,7 @@ ExperimentRunner::execute(const Experiment &experiment,
     // series move out of the outputs here: they are timing-style
     // observations, reported under the timing key and never part of
     // the model output RunSet/report consumers see.
-    local.sampleEvery = sample_every;
+    local.sampleEvery = config_.sampleEvery;
     for (std::size_t index = 0; index < plan.size(); ++index) {
         RunTiming &timing = timings[index];
         timing.id = plan[index].id;

@@ -44,10 +44,8 @@ struct RunnerConfig
     std::uint32_t threads = 1;
     /**
      * Telemetry: epoch-sample simulator counters every N accesses
-     * into the per-run timing series (0 = inherit the process-wide
-     * telemetry::globalSampleEvery(), which the CLI's --sample-every
-     * sets — so nested runners, e.g. perf_suite's inner sweeps,
-     * follow the flag). Never joins Options or the model output.
+     * into the per-run timing series (0 = off; the CLI sets it from
+     * --sample-every). Never joins Options or the model output.
      */
     std::uint64_t sampleEvery = 0;
     /** Live sweep progress line (Auto = only when stderr is a TTY). */
@@ -88,14 +86,6 @@ struct ExecStats
 
 /** Peak resident set size of this process so far, in KiB. */
 std::uint64_t peakRssKb();
-
-/**
- * Reset the kernel's peak-RSS watermark to the current RSS (Linux
- * /proc/self/clear_refs), so per-phase peaks can be measured in one
- * process. Returns false when unsupported or denied — peakRssKb()
- * then keeps reporting the process-lifetime high-water mark.
- */
-bool resetPeakRss();
 
 /** Executes experiment plans over a shared trace cache. */
 class ExperimentRunner

@@ -6,9 +6,9 @@
  * can read — simulation counters, per-class traffic, per-core MLP,
  * prefetcher stats, the STMS-internal counters and the stream-length
  * histogram — into named scalars. The model digests are folded over
- * exactly those scalars: perf_suite's model_digest, the ModelDigest
- * tests and the sweep benchmark's correctness check all go through
- * foldModelDigest() or encodeRunOutput().
+ * exactly those scalars: the ModelDigest tests and the sweep
+ * benchmark's correctness check both go through foldModelDigest()
+ * or encodeRunOutput().
  *
  * decodeRunOutput() rebuilds a RunOutput from the scalars. Nothing in
  * the simulator needs it; it exists as the proof that the digest
@@ -51,8 +51,8 @@ bool decodeRunOutput(
  * Fold run @p id's @p output into the FNV-1a model digest @p digest:
  * the id, then every encodeRunOutput() scalar's name and value bits.
  * Folding a plan's runs in plan order, starting from kFnv1aOffset,
- * gives one number that changes iff any model output changes
- * (perf_suite's model_digest).
+ * gives one number that changes iff any model output changes (the
+ * ModelDigest tests' pins).
  */
 std::uint64_t foldModelDigest(std::uint64_t digest,
                               const std::string &id,

@@ -110,7 +110,8 @@ struct MemorySystemStats
  * `--sample-every`). Mirrors the prefetcher's IssueBarrier trick:
  * the threshold parks at kNever when sampling is off, so the hot
  * path pays exactly one never-taken compare per access — the
- * zero-cost-when-disabled contract bench_report.py gates.
+ * zero-cost-when-disabled contract tools/bench_report.py's telemetry
+ * overhead gate checks.
  */
 struct SampleHook
 {

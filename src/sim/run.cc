@@ -81,18 +81,6 @@ runTrace(trace_io::TraceSource &source, const RunConfig &run_config)
     return out;
 }
 
-RunOutput
-runTrace(const Trace &trace, const SimConfig &sim_config,
-         const std::optional<StmsConfig> &stms_config,
-         double warmup_fraction)
-{
-    RunConfig config;
-    config.sim = sim_config;
-    config.stms = stms_config;
-    config.warmupFraction = warmup_fraction;
-    return runTrace(trace, config);
-}
-
 double
 speedup(const SimResult &base, const SimResult &opt)
 {

@@ -1,21 +1,7 @@
 #include "telemetry/sampler.hh"
 
-#include <atomic>
-
 namespace stms::telemetry
 {
-
-namespace
-{
-
-/** Relaxed on both sides: the CLI stores this once during argument
- *  parsing, before the runner spawns any worker thread, and thread
- *  creation is the happens-before edge that publishes the value.
- *  Workers only ever read it. The atomic exists so a hypothetical
- *  mid-run write is a benign stale read, not UB. */
-std::atomic<std::uint64_t> g_sample_every{0};
-
-} // namespace
 
 void
 EpochSampler::configure(std::uint64_t every)
@@ -57,18 +43,6 @@ EpochSampler::take()
     series_.every = every_;
     series_.columns = out.columns;
     return out;
-}
-
-void
-setGlobalSampleEvery(std::uint64_t every)
-{
-    g_sample_every.store(every, std::memory_order_relaxed);
-}
-
-std::uint64_t
-globalSampleEvery()
-{
-    return g_sample_every.load(std::memory_order_relaxed);
 }
 
 } // namespace stms::telemetry

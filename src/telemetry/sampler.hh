@@ -14,8 +14,8 @@
  *
  * The hot-path hook lives in MemorySystem (one compare against a
  * threshold parked at "never" when disabled — the same trick as the
- * prefetcher's IssueBarrier); this file only owns the registry, the
- * series container, and the sweep-wide `--sample-every` default.
+ * prefetcher's IssueBarrier); this file only owns the registry and
+ * the series container.
  */
 
 #ifndef STMS_TELEMETRY_SAMPLER_HH
@@ -86,14 +86,6 @@ class EpochSampler
     std::vector<Probe> probes_;
     SampleSeries series_;
 };
-
-/** Sweep-wide default epoch (the CLI's `--sample-every`), consumed
- *  by the runner chokepoint so nested runners — perf_suite's inner
- *  sweeps included — inherit it without threading a flag through
- *  every config. 0 = disabled. Never joins Options, so it can never
- *  perturb model output. */
-void setGlobalSampleEvery(std::uint64_t every);
-std::uint64_t globalSampleEvery();
 
 } // namespace stms::telemetry
 

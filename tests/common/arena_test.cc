@@ -61,32 +61,6 @@ TEST(Arena, GrowsAcrossBlocksAndKeepsThemOnReset)
     EXPECT_EQ(arena.allocatedBytes(), 0u);  // ...but the cursor rewinds
 }
 
-TEST(Arena, TrimReturnsBlocksToTheOs)
-{
-    Arena arena;
-    arena.allocate(Arena::kFirstBlockBytes * 3, 8);
-    arena.allocate(1 << 20, 4096);  // overflow path
-    EXPECT_GT(arena.reservedBytes(), 0u);
-    arena.trim();
-    EXPECT_EQ(arena.blockCount(), 0u);
-    EXPECT_EQ(arena.reservedBytes(), 0u);
-    EXPECT_EQ(arena.allocatedBytes(), 0u);
-    EXPECT_EQ(arena.overflowCount(), 0u);
-    // Still usable afterwards.
-    EXPECT_NE(arena.allocate(64, 8), nullptr);
-}
-
-TEST(Arena, TrimThreadRunArenaIsNoopWhileRunIsLive)
-{
-    ScopedRunArena run;
-    Arena *installed = currentArena();
-    ASSERT_NE(installed, nullptr);
-    void *before = installed->allocate(64, 8);
-    trimThreadRunArena();  // must not free live run storage
-    EXPECT_GT(installed->reservedBytes(), 0u);
-    std::memset(before, 0x5a, 64);  // still valid
-}
-
 TEST(Arena, BudgetExhaustionFallsBackToHeap)
 {
     Arena arena(1024);  // tiny budget

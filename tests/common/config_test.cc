@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "common/config.hh"
 #include "driver/experiment.hh"
@@ -92,20 +94,45 @@ TEST(ParseSize, Suffixes)
     EXPECT_EQ(parseSize("16777215T"), 16777215ULL << 40);  // < 2^64.
 }
 
+/** @p text as a POSIX extended regex that matches only itself. */
+std::string
+literal(const std::string &text)
+{
+    std::string pattern;
+    for (const char c : text) {
+        if (std::string_view("\\^$.|?*+()[]{}").find(c) !=
+            std::string_view::npos)
+            pattern += '\\';
+        pattern += c;
+    }
+    return pattern;
+}
+
 TEST(ParseSize, OutOfRangeValuesAreFatal)
 {
-    // Casting any of these from double to uint64_t is undefined, so
-    // "records=-5" must exit 1 with a message rather than run with a
-    // garbage count.
-    for (const char *text :
-         {"-5", "-1K", "-0.5", "nan", "inf", "-inf", "1e30",
-          "18446744073709551616", "16777216T"}) {
+    // Casting either of these from double to uint64_t is undefined,
+    // so it must exit 1 with a message rather than run with a garbage
+    // count.
+    for (const char *text : {"18446744073709551616", "16777216T"}) {
         EXPECT_EXIT(parseSize(text), ::testing::ExitedWithCode(1),
                     "out of range")
             << text;
     }
-    EXPECT_EXIT(parseSize("12Q"), ::testing::ExitedWithCode(1),
-                "bad size suffix");
+}
+
+TEST(ParseSize, OnlyDecimalSpellings)
+{
+    // Only digits, an optional fraction and one suffix letter parse,
+    // so "records=0x800" cannot run as 2048 or "2e3" as 2000; every
+    // other spelling exits 1 naming the text.
+    for (const char *text :
+         {"0x800", "2e3", " 2000", "+5", "-0", "2Kx", "2KB", ".5K", "1.K",
+          "-5", "-1K", "-0.5", "nan", "inf", "-inf", "1e30", "12Q",
+          "8 K", "1..5", "K"}) {
+        EXPECT_EXIT(parseSize(text), ::testing::ExitedWithCode(1),
+                    "bad size '" + literal(text) + "'")
+            << "'" << text << "'";
+    }
 }
 
 TEST(ParseSize, BenchRecordsOverrideIsParsedLikeRecords)
@@ -114,18 +141,16 @@ TEST(ParseSize, BenchRecordsOverrideIsParsedLikeRecords)
     // and abort; it now fails the way records=-5 does. Each death
     // test sets the variable in its own forked child.
     const Options none;
-    EXPECT_EXIT(
-        {
-            setenv("STMS_BENCH_RECORDS", "-5", 1);
-            driver::plannedRecords(none, 7);
-        },
-        ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(
-        {
-            setenv("STMS_BENCH_RECORDS", "lots", 1);
-            driver::plannedRecords(none, 7);
-        },
-        ::testing::ExitedWithCode(1), "bad size suffix");
+    for (const char *text : {"-5", "lots", "0x800"}) {
+        EXPECT_EXIT(
+            {
+                setenv("STMS_BENCH_RECORDS", text, 1);
+                driver::plannedRecords(none, 7);
+            },
+            ::testing::ExitedWithCode(1),
+            "bad size '" + literal(text) + "'")
+            << text;
+    }
 
     setenv("STMS_BENCH_RECORDS", "8K", 1);
     EXPECT_EQ(driver::plannedRecords(none, 7), 8192u);

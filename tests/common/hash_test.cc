@@ -61,8 +61,8 @@ TEST(Hash, AvalancheFlipsManyBits)
 
 TEST(Fnv1a, MatchesReferenceVectors)
 {
-    // Published FNV-1a test vectors. The model digests (perf_suite's
-    // model_digest, ModelDigest.*) are FNV-1a values, so the hash may
+    // Published FNV-1a test vectors. The model digests (ModelDigest.*,
+    // sweepbench's FIG7_DIGEST) are FNV-1a values, so the hash may
     // never change.
     EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ULL);
     EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);

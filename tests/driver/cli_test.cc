@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/rng.hh"
 #include "driver/cli.hh"
 
 namespace stms::driver
@@ -221,6 +225,131 @@ TEST(DriverCli, RemovedOptionNamesDoNotShadowOtherOptions)
     EXPECT_EQ(args.options.get("storey", ""), "1");
     EXPECT_EQ(args.options.get("results-dir", ""), "x");
     EXPECT_EQ(args.options.get("pipelines", ""), "2");
+}
+
+/**
+ * Seeded mutation loop over the command line. Mutants of the valid
+ * argv lists the tests above use drop, duplicate, swap, split
+ * (`--x=v` into `--x v`) and join tokens, and flip, drop or insert
+ * bytes. Each must either fail with a message, or parse to a worker
+ * count and sampling epoch within their limits with no removed option
+ * in the experiment options. A bare `mem-backend=...` token is
+ * experiment-option passthrough, checked at plan time, so its value
+ * is not checked here.
+ */
+TEST(DriverCli, MutantsFailCleanlyOrParse)
+{
+    const std::vector<std::vector<std::string>> seeds = {
+        {"--experiment", "fig7", "--threads", "8", "--json", "o.json"},
+        {"--experiment=fig9", "--threads=4", "--json=out.json"},
+        {"--experiment", "fig7", "records=65536", "--sampling=0.5"},
+        {"-e", "fig7", "--experiment=table2"},
+        {"--experiment", "ingest_replay", "--trace", "a.stms",
+         "--trace=b.core1.champsim,format=champsim"},
+        {"--threads", "0"},
+        {"--threads", "010"},
+        {"--sample-every=010"},
+        {"--sample-every", "1099511627776"},  // 2^40: the limit.
+        {"--csv", "--verbose", "--no-timing", "--list", "--help"},
+        {"storey=1", "--results-dir=x", "pipelines=2"},
+        {"-e", "fig7", "--mem-backend", "queued,channels=4",
+         "--trace-out", "t.json", "--sample-every", "4096",
+         "--log-level", "info", "--no-progress", "-j", "4096"},
+    };
+    const std::string_view removed[] = {
+        "index-shards", "store",    "rerun",
+        "shard",        "results",  "baseline",
+        "pipeline",     "pipeline-chunk", "trace-cache-mb",
+    };
+    const std::string inserted = "-=,+ 0123456789";
+    const std::string flipped = "-=,+ 0123456789eijnorst.x";
+
+    Rng rng(0xc11);
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected = 0;
+    for (int n = 0; n < 4000; ++n) {
+        std::vector<std::string> tokens = seeds[rng.below(seeds.size())];
+        const int mutations = 1 + static_cast<int>(rng.below(3));
+        for (int m = 0; m < mutations && !tokens.empty(); ++m) {
+            const std::size_t at = rng.below(tokens.size());
+            std::string &token = tokens[at];
+            const auto where = [&](std::size_t from) {
+                return tokens.begin() + static_cast<std::ptrdiff_t>(from);
+            };
+            const auto eq = token.find('=');
+            switch (rng.below(8)) {
+              case 0:
+                tokens.erase(where(at));
+                break;
+              case 1:
+                tokens.insert(where(at + 1), token);
+                break;
+              case 2:
+                if (at + 1 < tokens.size())
+                    std::swap(token, tokens[at + 1]);
+                break;
+              case 3:  // --x=v -> --x v
+                if (token.starts_with('-') && eq != std::string::npos) {
+                    std::string value = token.substr(eq + 1);
+                    token.resize(eq);
+                    tokens.insert(where(at + 1), std::move(value));
+                }
+                break;
+              case 4:  // --x v -> --x=v
+                if (token.starts_with('-') && eq == std::string::npos &&
+                    at + 1 < tokens.size()) {
+                    token += "=" + tokens[at + 1];
+                    tokens.erase(where(at + 1));
+                }
+                break;
+              case 5:
+                if (!token.empty()) {
+                    char &byte = token[rng.below(token.size())];
+                    byte = rng.below(2) != 0
+                               ? flipped[rng.below(flipped.size())]
+                               : static_cast<char>(byte ^
+                                                   (1 << rng.below(8)));
+                }
+                break;
+              case 6:
+                if (!token.empty())
+                    token.erase(rng.below(token.size()), 1);
+                break;
+              default:
+                token.insert(token.begin() + static_cast<std::ptrdiff_t>(
+                                                 rng.below(token.size() + 1)),
+                             inserted[rng.below(inserted.size())]);
+            }
+        }
+
+        std::string shown;
+        std::vector<const char *> argv = {"driver"};
+        for (const std::string &token : tokens) {
+            shown += " '" + token + "'";
+            argv.push_back(token.c_str());
+        }
+        SCOPED_TRACE("mutant" + shown);
+        DriverArgs args;
+        std::string error;
+        if (!parseDriverArgs(static_cast<int>(argv.size()),
+                             const_cast<char **>(argv.data()), args,
+                             error)) {
+            ++rejected;
+            EXPECT_FALSE(error.empty());
+        } else {
+            ++accepted;
+            EXPECT_LE(args.threads, 4096u);
+            EXPECT_LE(args.sampleEvery, 1ULL << 40);
+            for (const std::string_view name : removed)
+                EXPECT_FALSE(args.options.has(std::string(name))) << name;
+        }
+        if (HasFailure())
+            return;
+    }
+    // A mutator whose mutants all fail (or all parse) checks one side
+    // only; this seed gives 1,893 parsed and 2,107 rejected.
+    EXPECT_GT(accepted, 400u);
+    EXPECT_GT(rejected, 400u);
 }
 
 } // namespace

@@ -5,9 +5,10 @@
  *  MSHR map on the fixed backend; mem_tech_sweep pins the event order
  *  of the queued and DRAM backends, which schedule their own events;
  *  a long-latency replay pins events scheduled beyond the event
- *  queue's timing wheel. A digest change means some model
- *  output changed — intended changes update the constants and say
- *  why. */
+ *  queue's timing wheel. fig7 at the benchmark's length is pinned
+ *  through a worker pool against its serial digest, which also checks
+ *  fan-out == serial. A digest change means some model output
+ *  changed — intended changes update the constants and say why. */
 
 #include <gtest/gtest.h>
 
@@ -25,27 +26,37 @@ namespace stms::driver
 namespace
 {
 
+/** FNV-1a over every run of @p name's plan, in plan order, run on
+ *  @p threads workers. */
 std::uint64_t
-serialDigest(const char *name,
-             std::initializer_list<std::pair<const char *, const char *>>
-                 extra = {})
+planDigest(const char *name, const Options &options, std::uint32_t threads)
 {
     const Experiment *experiment = ExperimentRegistry::global().find(name);
     EXPECT_NE(experiment, nullptr) << name;
     if (experiment == nullptr)
         return 0;
-    Options options;
-    options.set("records", "8192");
-    for (const auto &[key, value] : extra)
-        options.set(key, value);
     TraceCache traces;
-    ExperimentRunner runner(traces, RunnerConfig{});
+    RunnerConfig config;
+    config.threads = threads;
+    ExperimentRunner runner(traces, config);
     const RunSet runs = runner.execute(*experiment, options);
     std::uint64_t digest = kFnv1aOffset;
     for (const RunSpec &spec : experiment->plan(options))
         digest = results::foldModelDigest(digest, spec.id,
                                           runs.at(spec.id));
     return digest;
+}
+
+std::uint64_t
+serialDigest(const char *name,
+             std::initializer_list<std::pair<const char *, const char *>>
+                 extra = {})
+{
+    Options options;
+    options.set("records", "8192");
+    for (const auto &[key, value] : extra)
+        options.set(key, value);
+    return planDigest(name, options, 1);
 }
 
 TEST(ModelDigest, Fig7AndFig9ArePinned)
@@ -68,6 +79,17 @@ TEST(ModelDigest, LongHorizonBackendIsPinned)
                            {{"workload", "dss-db2"},
                             {"mem-backend", "fixed,latency=6000"}}),
               0x6e6f8529ef4d9882ULL);
+}
+
+// fig7 at records=65536 is the sweep sweepbench's fig7-serial
+// workload times; its serial digest is that benchmark's FIG7_DIGEST.
+// Four workers must reproduce it: the worker count schedules runs and
+// never changes them.
+TEST(ModelDigest, Fig7AtBenchmarkLengthIsPinned)
+{
+    Options options;
+    options.set("records", "65536");
+    EXPECT_EQ(planDigest("fig7", options, 4), 0x30b47d48c5101b9eULL);
 }
 
 // The fixed backend is the queued model at one channel, so spelling

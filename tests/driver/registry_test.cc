@@ -77,7 +77,7 @@ TEST(ExperimentRegistry, GlobalHasEveryBuiltin)
     const char *expected[] = {
         "fig1-overhead", "fig1-storage", "fig4", "fig5",
         "fig6", "fig7", "fig8", "fig9",
-        "table2", "mem_tech_sweep", "perf_suite",
+        "table2", "mem_tech_sweep",
         "ingest_replay", "synth_vs_ingest",
         "ablate-bucket", "ablate-priority", "ablate-sharing"};
     for (const char *name : expected) {
@@ -95,12 +95,6 @@ TEST(ExperimentRegistry, BuiltinPlansAreNonEmptyWithUniqueIds)
     for (const Experiment *experiment :
          ExperimentRegistry::global().all()) {
         const auto plan = experiment->plan(options);
-        if (experiment->name() == "perf_suite") {
-            // Host-thread measurement harness: all work happens in
-            // report(), so its plan is deliberately empty.
-            EXPECT_TRUE(plan.empty());
-            continue;
-        }
         EXPECT_FALSE(plan.empty()) << experiment->name();
         std::set<std::string> ids;
         for (const RunSpec &spec : plan) {

@@ -1,6 +1,5 @@
 /** @file Unit tests for the epoch sampler: probe registry, row
- *  capture, the warmup discard boundary, and the sweep-wide
- *  --sample-every default. */
+ *  capture and the warmup discard boundary. */
 
 #include <gtest/gtest.h>
 
@@ -90,16 +89,6 @@ TEST(EpochSampler, TakeMovesSeriesOutAndResets)
 
     sampler.sample(64, 20);
     EXPECT_EQ(sampler.series().rows.size(), 1u);
-}
-
-TEST(GlobalSampleEvery, RoundTrips)
-{
-    const std::uint64_t prior = globalSampleEvery();
-    setGlobalSampleEvery(4096);
-    EXPECT_EQ(globalSampleEvery(), 4096u);
-    setGlobalSampleEvery(0);
-    EXPECT_EQ(globalSampleEvery(), 0u);
-    setGlobalSampleEvery(prior);
 }
 
 } // namespace

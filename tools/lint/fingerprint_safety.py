@@ -7,19 +7,16 @@ nowhere else.  A report's metrics and tables are its model output:
 the golden reports (tools/golden_reports.py) and the ``--no-timing``
 byte-compares check them, and the model digests fingerprint the
 same model output, hence the name.  Experiments must not smuggle
-timing into report metrics through ``addMetric`` keys.  The timing
-suffixes (``_s``, ``_per_sec``, ``_kb``, ``_ratio``) mark the
-deliberate exceptions: bench experiments whose suffixed metrics
-downstream gates (tools/bench_report.py) strip before comparing.
+timing into report metrics through ``addMetric`` keys, so a metric
+key may not end in a timing suffix (``_s``, ``_per_sec``, ``_kb``,
+``_ratio``) in any file.
 
 Checks:
 
 1. The JSON keys ``\"timing\"`` / ``\"samples\"`` may be emitted only
    by src/driver/report.cc (the one renderer).
-2. ``addMetric`` keys ending in a timing suffix are allowed only in
-   the bench-experiment allowlist (their reports are gated by
-   tools/bench_report.py, which strips timing suffixes), plus the
-   documented legacy exceptions that cannot be renamed without
+2. ``addMetric`` keys ending in a timing suffix are findings, except
+   the documented legacy keys that cannot be renamed without
    changing a pinned report.
 """
 
@@ -38,15 +35,6 @@ from lintlib import (
 LINT_NAME = "fingerprint-safety"
 
 TIMING_SUFFIXES = ("_s", "_per_sec", "_kb", "_ratio")
-
-#: Files whose timing-suffixed metrics are *meant* to be timing:
-#: bench experiments gated by tools/bench_report.py, which strips
-#: these suffixes before any determinism comparison.
-TIMING_METRIC_FILES = frozenset(
-    {
-        "src/driver/experiments/perf_suite.cc",
-    }
-)
 
 #: (file, key-literal) pairs grandfathered in: deterministic model
 #: metrics whose names collide with a timing suffix.  Renaming one
@@ -113,7 +101,7 @@ def check(root):
                     )
                 )
 
-        # Rule 2: timing-suffixed metric keys only in bench files.
+        # Rule 2: no timing-suffixed metric keys.
         for match in _ADD_METRIC_RE.finditer(code):
             args = extract_call(code, match.end() - 1)
             tail = _key_suffix(_first_argument(args))
@@ -123,8 +111,6 @@ def check(root):
                 (s for s in TIMING_SUFFIXES if tail.endswith(s)), None
             )
             if suffix is None:
-                continue
-            if rel in TIMING_METRIC_FILES:
                 continue
             if (rel, tail) in LEGACY_KEY_EXCEPTIONS:
                 continue

@@ -5,9 +5,6 @@
 void
 report(Report &out)
 {
-    // Allowed: timing suffixes inside the bench allowlist file.
-    out.addMetric("serial.wall_s", 1.0);
-    out.addMetric("fanout_speedup_ratio", 2.0);
     // Allowed: suffix-free model metrics anywhere.
     out.addMetric("model_digest_hi", 42.0);
 }

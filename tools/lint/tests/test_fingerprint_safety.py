@@ -17,10 +17,13 @@ class FingerprintSafetyTest(unittest.TestCase):
         violations = fingerprint_safety.check(FIXTURES / "bad")
         found = {(v.path, v.line) for v in violations}
         expected = {
-            # Timing-suffixed metric keys outside the bench allowlist.
+            # Timing-suffixed metric keys.
             ("src/driver/experiments/bad_metrics.cc", 9),
             ("src/driver/experiments/bad_metrics.cc", 10),
             ("src/driver/experiments/bad_metrics.cc", 11),
+            # The file the retired perf_suite experiment lived in is
+            # not exempt: no file is.
+            ("src/driver/experiments/perf_suite.cc", 8),
             # "timing" JSON key emitted outside the renderer (the
             # renderer's own in report.cc is not a finding).
             ("src/driver/experiments/bad_metrics.cc", 13),
