@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the data-plane structures:
- * index-table lookup/update, history-buffer append, prefetch-buffer
- * operations, cache accesses, and the event-queue kernel. These bound
- * the simulator's own throughput, not the modeled hardware.
+ * index-table lookup/update, bucket-buffer probe/insert,
+ * history-buffer append, prefetch-buffer operations, cache accesses,
+ * and the event-queue kernel. These bound the simulator's own
+ * throughput, not the modeled hardware.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +15,9 @@
 
 #include "common/addr_map.hh"
 #include "common/arena.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
+#include "core/bucket_buffer.hh"
 #include "core/history_buffer.hh"
 #include "core/index_table.hh"
 #include "prefetch/prefetch_buffer.hh"
@@ -60,6 +63,35 @@ BM_IndexTableLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IndexTableLookup);
+
+/**
+ * The index-update path through the on-chip bucket buffer: probe, and
+ * on a miss install the bucket (dirty) and take the write-back victim,
+ * at the paper's 128 buckets. Keys are the bucket numbers of blocks
+ * drawn uniformly from a pool of 370, so about 128 / 370 of probes hit:
+ * fig7's bucket-buffer hit ratio at records=65536 is 0.345.
+ */
+void
+BM_BucketBuffer(benchmark::State &state)
+{
+    constexpr std::uint64_t kIndexBuckets = (16ULL << 20) / kBlockBytes;
+    constexpr std::uint64_t kBlocks = 370;
+    BucketBuffer buffer(128);
+    Rng rng(7);
+    std::uint64_t writebacks = 0;
+    for (auto _ : state) {
+        const std::uint64_t bucket =
+            hashToBucket(rng.below(kBlocks), kIndexBuckets);
+        if (!buffer.probe(bucket, true))
+            writebacks += buffer.insert(bucket, true).needed;
+        benchmark::DoNotOptimize(writebacks);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_ratio"] =
+        static_cast<double>(buffer.stats().hits) /
+        static_cast<double>(buffer.stats().hits + buffer.stats().misses);
+}
+BENCHMARK(BM_BucketBuffer);
 
 void
 BM_HistoryBufferAppend(benchmark::State &state)

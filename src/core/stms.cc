@@ -160,19 +160,14 @@ StmsPrefetcher::applyIndexUpdate(Addr block, HistoryPointer pointer)
     // (dirty, written back on eviction); a miss costs the read half of
     // the read-modify-write now and the write half on eviction.
     const std::uint64_t bucket = index_.bucketOf(block);
-    if (bucketBuffer_.probe(bucket)) {
-        bucketBuffer_.markDirty(bucket);
+    if (bucketBuffer_.probe(bucket, /*dirty=*/true))
         return;
-    }
     port_->metaRequest(TrafficClass::MetaUpdate, metaIndexAddr(bucket),
                        1, nullptr);
-    bool writeback = false;
-    std::uint64_t victim = 0;
-    bucketBuffer_.insert(bucket, writeback, victim);
-    bucketBuffer_.markDirty(bucket);
-    if (writeback) {
+    if (const BucketWriteback victim =
+            bucketBuffer_.insert(bucket, /*dirty=*/true)) {
         port_->metaRequest(TrafficClass::MetaUpdate,
-                           metaIndexAddr(victim), 1, nullptr);
+                           metaIndexAddr(victim.bucket), 1, nullptr);
     }
 }
 
@@ -260,7 +255,7 @@ StmsPrefetcher::startLookup(CoreId core, Addr block)
     // Timing + traffic: one memory block read unless the bucket is
     // resident in the on-chip bucket buffer.
     const std::uint64_t bucket = index_.bucketOf(block);
-    if (bucketBuffer_.probe(bucket)) {
+    if (bucketBuffer_.probe(bucket, /*dirty=*/false)) {
         if (fresh)
             startStream(core, *pointer);
         return;
@@ -273,12 +268,11 @@ StmsPrefetcher::startLookup(CoreId core, Addr block)
         TrafficClass::MetaLookup, metaIndexAddr(bucket), 1,
         [this, core, bucket, target](Cycle) {
             --lookupsInFlight_[core];
-            bool writeback = false;
-            std::uint64_t victim = 0;
-            bucketBuffer_.insert(bucket, writeback, victim);
-            if (writeback) {
+            if (const BucketWriteback victim =
+                    bucketBuffer_.insert(bucket, /*dirty=*/false)) {
                 port_->metaRequest(TrafficClass::MetaUpdate,
-                                   metaIndexAddr(victim), 1, nullptr);
+                                   metaIndexAddr(victim.bucket), 1,
+                                   nullptr);
             }
             if (target.seq != kInvalidSeq)
                 startStream(core, target);

@@ -71,9 +71,15 @@ sweepJson(std::uint32_t threads, bool telemetry,
     if (!telemetry)
         return runner.run(experiment(), tinyOptions(), stats).toJson();
 
+    // ctest runs each test in its own process, side by side: the
+    // test's name keeps two tests from writing one temp file.
     const std::string path =
         (fs::temp_directory_path() /
-         ("stms_determinism_" + std::to_string(threads) + ".json"))
+         ("stms_determinism_" +
+          std::string(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name()) +
+          "_" + std::to_string(threads) + ".json"))
             .string();
     telemetry::TraceSink sink(path);
     telemetry::installTraceSink(&sink);

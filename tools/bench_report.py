@@ -3,19 +3,24 @@
 
   python3 tools/bench_report.py --driver build/driver
 
-runs the pinned fig7 sweep with telemetry off and fully on
-(--trace-out + --sample-every 4096), interleaved, takes the best of
---telemetry-reps driver-reported timing.records_per_sec per arm, and
-fails when the on/off ratio falls below 0.98: the <=2% overhead
-contract of docs/OBSERVABILITY.md. Interleaving and best-of make the
-gate meaningful on noisy shared machines: transient slowdowns hit
-both arms, and the best rep approaches each arm's true speed.
+runs the pinned fig7 sweep at records=8192 in 150 back-to-back
+pairs, once with telemetry off and once fully on (--trace-out +
+--sample-every 4096), flipping which arm goes first from one pair to
+the next. Each pair gives the ratio of the two driver-reported
+timing.records_per_sec values (on / off). The gate fails when the
+median ratio falls below 0.98: the <=2% overhead contract of
+docs/OBSERVABILITY.md. It also prints the ratios' quartiles and a
+distribution-free 95% interval for the median, from order statistics
+of the binomial.
+
+Pairing is what makes the verdict hold on a host whose speed drifts
+from run to run: both runs of a pair mostly see the same speed, so
+the ratio cancels it, and the median over many short pairs ignores
+the pairs a speed change split. 150 pairs at about 0.25 s per run
+take under a minute and a half.
 
 Options:
-  --driver PATH          driver binary (default build/driver)
-  --records N            sweep length per core (default 65536; CI
-                         uses 8192)
-  --telemetry-reps N     repetitions per arm (default 5)
+  --driver PATH   driver binary (default build/driver)
 
 sweepbench/run.py imports sanitizer_build() and git_describe() from
 this module, so importing it has no side effects.
@@ -23,7 +28,9 @@ this module, so importing it has no side effects.
 
 import argparse
 import json
+import math
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,6 +40,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Enabled telemetry must keep >= this fraction of the telemetry-off
 # throughput (i.e. <= 2% overhead).
 TELEMETRY_GATE_RATIO = 0.98
+# Sweep length per core of each gate run, and off/on pairs per gate.
+GATE_RECORDS = 8192
+GATE_PAIRS = 150
 
 
 def sanitizer_build(binary) -> str | None:
@@ -79,20 +89,46 @@ def fig7_records_per_sec(driver, records, extra=()):
     return report["timing"]["records_per_sec"]
 
 
-def measure_telemetry_overhead(driver, records, reps):
-    """Interleaved best-of-N throughput with telemetry off vs on."""
+def paired_overhead_ratios(driver, records, pairs):
+    """On/off throughput ratio of each back-to-back pair; the arm that
+    runs first alternates."""
+    ratios = []
     with tempfile.TemporaryDirectory() as scratch:
         on_extra = ("--trace-out", f"{scratch}/trace.json",
                     "--sample-every", "4096")
-        off_best = 0.0
-        on_best = 0.0
-        for _ in range(reps):
-            off_best = max(off_best,
-                           fig7_records_per_sec(driver, records))
-            on_best = max(on_best,
-                          fig7_records_per_sec(driver, records,
-                                               on_extra))
-    return off_best, on_best
+        for pair in range(pairs):
+            if pair % 2 == 0:
+                off = fig7_records_per_sec(driver, records)
+                on = fig7_records_per_sec(driver, records, on_extra)
+            else:
+                on = fig7_records_per_sec(driver, records, on_extra)
+                off = fig7_records_per_sec(driver, records)
+            ratios.append(on / off)
+    return ratios
+
+
+def median_interval(values, confidence=0.95):
+    """Distribution-free interval for the median of ``values``.
+
+    The k-th smallest of n values lies above the true median only
+    when fewer than k values fall below it, which has probability
+    P(Binomial(n, 1/2) < k); the k-th largest lies below it with the
+    same probability. The interval runs from the k-th smallest to the
+    k-th largest value, for the largest k whose two tails together
+    stay within 1 - ``confidence``.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    tail = 0.0
+    k = 0
+    while k < n // 2:
+        tail += math.comb(n, k) / 2 ** n
+        if 2 * tail > 1.0 - confidence:
+            break
+        k += 1
+    if k == 0:
+        return ordered[0], ordered[-1]
+    return ordered[k - 1], ordered[n - k]
 
 
 def main():
@@ -100,24 +136,22 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--driver", default=REPO_ROOT / "build/driver")
-    parser.add_argument("--records", type=int, default=65536)
-    parser.add_argument("--telemetry-reps", type=int, default=5)
     args = parser.parse_args()
 
-    off_rps, on_rps = measure_telemetry_overhead(
-        args.driver, args.records, args.telemetry_reps)
-    ratio = on_rps / off_rps if off_rps > 0 else 0.0
-    if ratio < TELEMETRY_GATE_RATIO:
-        print(f"telemetry overhead gate FAILED: enabled telemetry "
-              f"runs at {ratio:.3f}x the disabled throughput "
-              f"({on_rps:,.0f} vs {off_rps:,.0f} records/s, "
-              f"limit {TELEMETRY_GATE_RATIO}x)", file=sys.stderr)
+    ratios = paired_overhead_ratios(args.driver, GATE_RECORDS,
+                                    GATE_PAIRS)
+    median = statistics.median(ratios)
+    low, high = median_interval(ratios)
+    quartiles = statistics.quantiles(ratios, n=4)
+    summary = (f"median on/off ratio {median:.3f} over {len(ratios)} "
+               f"pairs, 95% interval [{low:.3f}, {high:.3f}], "
+               f"quartiles [{quartiles[0]:.3f}, {quartiles[2]:.3f}], "
+               f"limit {TELEMETRY_GATE_RATIO}")
+    if median < TELEMETRY_GATE_RATIO:
+        print(f"telemetry overhead gate FAILED: {summary}",
+              file=sys.stderr)
         return 1
-    print(f"telemetry overhead gate OK: enabled telemetry keeps "
-          f"{ratio:.3f}x of disabled throughput "
-          f"({on_rps:,.0f} vs {off_rps:,.0f} records/s, "
-          f"limit {TELEMETRY_GATE_RATIO}x, best of "
-          f"{args.telemetry_reps})")
+    print(f"telemetry overhead gate OK: {summary}")
     return 0
 
 
