@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -144,6 +147,18 @@ ExperimentRunner::execute(const Experiment &experiment,
         telemetry::progressEnabled(config_.progress) && !plan.empty(),
         experiment.name(), plan.size(), local.threadsResolved);
 
+    // Runs left per synthetic trace. The run that takes its trace's
+    // count to zero releases it from the cache, so a sweep holds only
+    // the traces its remaining runs need. Fan-out workers share the
+    // counts; the map itself is only read once runs start.
+    std::map<std::pair<std::string, std::uint64_t>,
+             std::atomic<std::size_t>>
+        runsLeft;
+    for (const RunSpec &spec : plan) {
+        if (!spec.ingest)
+            ++runsLeft[{spec.workload, spec.records}];
+    }
+
     // One run, both stages back to back on the calling thread.
     auto executeOne = [&](std::size_t index) {
         const RunSpec &spec = plan[index];
@@ -190,6 +205,8 @@ ExperimentRunner::execute(const Experiment &experiment,
             const Clock::time_point start = Clock::now();
             outputs[index] = runTrace(handle.trace(), spec.config);
             timing.simulateSeconds = secondsSince(start);
+            if (--runsLeft.at({spec.workload, spec.records}) == 0)
+                traces_.release(spec.workload, spec.records);
         }
         stms_debug("[%s] run %zu/%zu done: %s",
                    experiment.name().c_str(), index + 1, plan.size(),

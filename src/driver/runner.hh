@@ -10,6 +10,10 @@
  *             trace;
  *   simulate  build an isolated System/EventQueue and run it.
  *
+ * The last run of the plan to simulate on a synthetic trace releases
+ * it from the cache, so a sweep holds only the traces its unfinished
+ * runs still need, and the next plan generates its own.
+ *
  * One schedule executes them: a pool of worker threads, each running
  * both stages of one run back to back (fan-out). Outputs are stored
  * by plan index and keyed by id, so a report assembled from them is

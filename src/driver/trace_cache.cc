@@ -41,6 +41,7 @@ TraceCache::acquire(const std::string &workload,
     // outside the lock so distinct keys synthesize concurrently.
     auto entry = std::make_shared<Entry>();
     it->second = entry;
+    ++generations_;
     lock.unlock();
 
     Trace trace;
@@ -55,18 +56,43 @@ TraceCache::acquire(const std::string &workload,
     entry->trace = std::move(trace);
     entry->ready = true;
     residentBytes_ += traceBytes(entry->trace);
-    // Sampled under the mutex, so the track is totally ordered.
-    telemetry::emitCounter("trace_cache.resident_kb",
-                           static_cast<double>(residentBytes_) / 1024.0);
+    emitResident();
     ready_.notify_all();
     return Handle(std::shared_ptr<const Trace>(entry, &entry->trace));
+}
+
+void
+TraceCache::release(const std::string &workload,
+                    std::uint64_t records_per_core)
+{
+    const Key key{workload, records_per_core};
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A pending entry is released once generated, so its bytes are
+    // counted in before they are counted out.
+    ready_.wait(lock, [&] {
+        const auto it = entries_.find(key);
+        return it == entries_.end() || it->second->ready;
+    });
+    const auto it = entries_.find(key);
+    if (it == entries_.end())
+        return;
+    residentBytes_ -= traceBytes(it->second->trace);
+    entries_.erase(it);
+    emitResident();
 }
 
 std::uint64_t
 TraceCache::generations() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return generations_;
+}
+
+void
+TraceCache::emitResident() const
+{
+    telemetry::emitCounter("trace_cache.resident_kb",
+                           static_cast<double>(residentBytes_) / 1024.0);
 }
 
 TraceCache &

@@ -5,11 +5,16 @@
  * Trace synthesis is the most expensive part of a sweep after the
  * simulation itself, and most experiments reuse the same (workload,
  * records) traces across many configuration points. The cache
- * generates each distinct trace once and keeps it for its own
- * lifetime: concurrent requests for the same key wait for the
- * generating thread, and distinct keys generate concurrently.
- * Generation is deterministic (seeded per workload spec), so a trace
- * is the same bytes whichever thread built it.
+ * generates each distinct trace once and keeps it until release():
+ * concurrent requests for the same key wait for the generating
+ * thread, and distinct keys generate concurrently. Generation is
+ * deterministic (seeded per workload spec), so a trace is the same
+ * bytes whichever thread built it, and a key acquired again after
+ * release() regenerates those bytes.
+ *
+ * The ExperimentRunner releases each trace after the last run of its
+ * plan that uses it, so a sweep holds only the traces its runs in
+ * flight still need.
  *
  * Only synthetic traces live here. Ingested on-disk traces (RunSpecs
  * with an IngestSpec) stream through trace_io per run in bounded
@@ -38,7 +43,7 @@ class TraceCache
   public:
     /**
      * A cached trace. The trace stays valid while the Handle lives,
-     * even past the cache itself.
+     * even past its release() or the cache itself.
      */
     class Handle
     {
@@ -64,7 +69,17 @@ class TraceCache
     Handle acquire(const std::string &workload,
                    std::uint64_t records_per_core);
 
-    /** Traces generated over the cache's lifetime, one per key. */
+    /**
+     * Drop the cache's reference to (@p workload, @p
+     * records_per_core), waiting for its generation to finish; the
+     * next acquire() generates it again. Live Handles keep their
+     * trace. A key not in the cache is ignored.
+     */
+    void release(const std::string &workload,
+                 std::uint64_t records_per_core);
+
+    /** Traces generated over the cache's lifetime, regenerations
+     *  after release() included. */
     std::uint64_t generations() const;
 
   private:
@@ -76,10 +91,15 @@ class TraceCache
         bool ready = false;
     };
 
+    /** Sample trace_cache.resident_kb; called under mutex_, so the
+     *  track is totally ordered. */
+    void emitResident() const;
+
     mutable std::mutex mutex_;
     std::condition_variable ready_;
     std::map<Key, std::shared_ptr<Entry>> entries_;
     std::uint64_t residentBytes_ = 0;
+    std::uint64_t generations_ = 0;
 };
 
 /** The shared cache used by the driver CLI and the examples. */

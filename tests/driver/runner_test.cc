@@ -1,6 +1,6 @@
-/** @file Tests of the ExperimentRunner: trace caching, plan
- *  execution, and the determinism guarantee that a parallel sweep is
- *  bit-identical to a serial one. */
+/** @file Tests of the ExperimentRunner: trace caching and release,
+ *  plan execution, and the determinism guarantee that a parallel
+ *  sweep is bit-identical to a serial one. */
 
 #include <gtest/gtest.h>
 
@@ -98,6 +98,27 @@ TEST(ExperimentRunner, ExecutesEveryPlannedRun)
     // the base system missed, and STMS logged those misses.
     EXPECT_GT(runs.at("oltp-db2/base").sim.mem.offchipReads, 0u);
     EXPECT_GT(runs.at("oltp-db2/ideal").stmsInternal.logged, 0u);
+}
+
+TEST(ExperimentRunner, GeneratesEachTraceOncePerPlanAndFreesItAfter)
+{
+    // TinySweep plans two runs on each of two traces.
+    for (const std::uint32_t threads : {1u, 4u}) {
+        TraceCache cache;
+        RunnerConfig config;
+        config.threads = threads;
+        ExperimentRunner runner(cache, config);
+        runner.execute(TinySweep(), Options{});
+        EXPECT_EQ(cache.generations(), 2u)
+            << "threads=" << threads << ": regenerated inside a plan";
+
+        // The last run of each trace released it, so acquiring it
+        // again generates it again.
+        cache.acquire("oltp-db2", kTestRecords);
+        EXPECT_EQ(cache.generations(), 3u) << "threads=" << threads;
+        cache.acquire("web-apache", kTestRecords);
+        EXPECT_EQ(cache.generations(), 4u) << "threads=" << threads;
+    }
 }
 
 TEST(ExperimentRunner, ParallelSweepIsBitIdenticalToSerial)

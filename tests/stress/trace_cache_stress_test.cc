@@ -4,13 +4,15 @@
  *
  * Many threads race the first acquire of one key: exactly one may
  * generate, and every other thread must wait for it and see the same
- * trace bytes.
+ * trace bytes. Releases race acquires: a Handle keeps its trace
+ * through any release, and a regenerated trace is the same bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,6 +69,47 @@ TEST(TraceCacheStress, ConcurrentFirstAcquireGeneratesOnce)
             thread.join();
         EXPECT_EQ(cache.generations(), 1u);
     }
+}
+
+TEST(TraceCacheStress, ReleaseRacesAcquireOfOtherKeys)
+{
+    // Thread t works on key (t + round) % 4: it acquires the key,
+    // holds it across its own release, and acquires it again, while
+    // the other threads do the same to the other keys (and, as they
+    // drift apart, to this one).
+    const std::vector<std::string> keys = {"oltp-db2", "web-apache",
+                                           "dss-db2", "sci-em3d"};
+    constexpr std::uint64_t kRecords = 96;
+    std::vector<std::uint64_t> reference;
+    {
+        TraceCache serial;
+        for (const std::string &key : keys)
+            reference.push_back(
+                laneDigest(serial.acquire(key, kRecords).trace()));
+    }
+
+    TraceCache cache;
+    std::vector<std::thread> workers;
+    workers.reserve(4);
+    for (std::size_t t = 0; t < 4; ++t) {
+        workers.emplace_back([&, t] {
+            for (std::size_t round = 0; round < 32; ++round) {
+                const std::size_t k = (t + round) % keys.size();
+                const TraceCache::Handle held =
+                    cache.acquire(keys[k], kRecords);
+                cache.release(keys[k], kRecords);
+                const TraceCache::Handle again =
+                    cache.acquire(keys[k], kRecords);
+                EXPECT_EQ(laneDigest(held.trace()), reference[k]);
+                EXPECT_EQ(laneDigest(again.trace()), reference[k]);
+            }
+        });
+    }
+    for (auto &thread : workers)
+        thread.join();
+    // Each round generates at most twice.
+    EXPECT_GE(cache.generations(), keys.size());
+    EXPECT_LE(cache.generations(), 4u * 32u * 2u);
 }
 
 } // namespace

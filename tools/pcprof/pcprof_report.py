@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fold pcprof samples into CPU shares by source file and by function.
+"""Fold pcprof samples into CPU shares by source file, by function and
+by component.
 
     python3 tools/pcprof/pcprof_report.py PROFILE... [--top N]
                                           [--json OUT] [--root DIR]
@@ -9,16 +10,23 @@ directory holding such files; all their samples pool. Report against
 the binaries that were profiled: an object rebuilt since is warned
 about, as its symbols no longer match the sampled PCs. Every sampled PC
 is symbolized with ``addr2line -a -f -i -C`` against the object it was
-sampled in, and charged to the innermost frame of its inline chain: a
+sampled in, giving its inline chain from the innermost frame outward.
+
+The file and function tables charge a sample to the innermost frame: a
 std::push_heap step inlined into EventQueue::enqueue counts as
 bits/stl_heap.h and std::__push_heap. Files under --root (default: the
 repository) print relative to it, others by their last two path
-components.
+components. The component table charges it to the first stms:: class
+on the chain, walking outward past free functions (findFirstEqual),
+the generic accessors in PASS_THROUGH and frames outside stms::, so a
+findFirstEqual inlined into Cache::findWay counts as Cache. A chain
+with no such class counts as "(no class)" and its object.
 
 Each row prints its share with a binomial 95% (Wilson score) interval,
 so rows from a before and an after profile can be compared: shares
 whose intervals overlap are not shown to differ. --json writes the
-same tables as {"samples", "processes", "files", "functions"}.
+same tables as {"samples", "processes", "files", "functions",
+"components"}.
 """
 
 import argparse
@@ -32,6 +40,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 Z95 = 1.959964
+# Generic storage whose accessors inline into the class that holds
+# them: a sample there belongs to that class.
+PASS_THROUGH = frozenset(("ArenaBuffer", "ZeroedBuffer"))
 
 
 def wilson(hits, total, z=Z95):
@@ -95,27 +106,73 @@ def read_profiles(files):
     return counts, total
 
 
+def parse_chains(text):
+    """pc -> [(function, location), ...] from ``addr2line -a -f -i``
+    output: each address line is followed by its innermost frame's
+    function/location pair, then those of the outer inline frames."""
+    chains = {}
+    chain = None
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        if re.fullmatch(r"0x[0-9a-f]+", lines[i]):
+            chain = chains.setdefault(int(lines[i], 16), [])
+            i += 1
+        elif chain is not None and i + 1 < len(lines):
+            chain.append((lines[i], lines[i + 1]))
+            i += 2
+        else:
+            i += 1
+    return chains
+
+
 def symbolize(obj, pcs):
-    """pc -> (function, file) of the innermost inline frame."""
-    frames = {}
+    """pc -> inline chain, innermost frame first."""
     if not pathlib.Path(obj).is_file():
-        return frames
+        return {}
     text = "".join(f"{pc:#x}\n" for pc in pcs)
     proc = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", obj],
                           input=text, stdout=subprocess.PIPE, text=True,
                           check=True)
-    lines = proc.stdout.splitlines()
-    i = 0
-    while i < len(lines):
-        if re.fullmatch(r"0x[0-9a-f]+", lines[i]):
-            # The first function/location pair after an address is
-            # its innermost frame; outer inline frames follow.
-            if i + 2 < len(lines):
-                frames[int(lines[i], 16)] = (lines[i + 1], lines[i + 2])
-            i += 3
-        else:
-            i += 1
-    return frames
+    return parse_chains(proc.stdout)
+
+
+def scope(function):
+    """The leading identifier of each top-level ``::`` part of a
+    demangled name ('' for lambdas and anonymous namespaces):
+    stms::detail::BucketStore::lookup(unsigned long) gives
+    ['stms', 'detail', 'BucketStore', 'lookup']."""
+    # An operator's symbol would unbalance the bracket count.
+    name = re.sub(r"\boperator(\(\)|\[\]|[^\w\s(]+)", "operator",
+                  function)
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(name):
+        if char in "<({[":
+            depth += 1
+        elif char in ">)}]":
+            depth -= 1
+        elif depth == 0 and name.startswith("::", i):
+            parts.append(name[start:i])
+            start = i + 2
+    parts.append(name[start:])
+    return [m.group(0) if (m := re.match(r"[A-Za-z_]\w*", part)) else ""
+            for part in parts]
+
+
+def component(chain):
+    """The first stms:: class on an inline chain, innermost first,
+    or None. Namespaces are lower-case and classes upper-case, so the
+    class is a name's first capitalized scope after stms."""
+    for function, _ in chain:
+        parts = scope(function)
+        if parts[0] != "stms":
+            continue
+        for part in parts[1:-1]:
+            if part[:1].isupper():
+                if part not in PASS_THROUGH:
+                    return part
+                break
+    return None
 
 
 def short_file(location, root):
@@ -132,20 +189,23 @@ def short_file(location, root):
 def fold(counts, root):
     by_file = collections.Counter()
     by_function = collections.Counter()
+    by_component = collections.Counter()
     per_object = collections.defaultdict(list)
     for obj, pc in counts:
         per_object[obj].append(pc)
     for obj, pcs in per_object.items():
-        frames = symbolize(obj, sorted(pcs))
+        chains = symbolize(obj, sorted(pcs))
         name = pathlib.Path(obj).name
         for pc in pcs:
-            function, location = frames.get(pc, ("??", "??:0"))
+            chain = chains.get(pc) or [("??", "??:0")]
+            function, location = chain[0]
             file = short_file(location, root)
             hits = counts[(obj, pc)]
             by_file[file or f"?? ({name})"] += hits
             by_function[function if function != "??"
                         else f"?? ({name})"] += hits
-    return by_file, by_function
+            by_component[component(chain) or f"(no class) {name}"] += hits
+    return by_file, by_function, by_component
 
 
 def rows(counter, total, top):
@@ -183,19 +243,19 @@ def main():
     if not files:
         sys.exit("pcprof_report: no pcprof.*.txt profiles found")
     counts, total = read_profiles(files)
-    by_file, by_function = fold(counts,
-                                pathlib.Path(args.root).resolve())
+    tables = fold(counts, pathlib.Path(args.root).resolve())
     unknown = total - sum(counts.values())
     if unknown:
-        by_file["?? (outside any object)"] += unknown
-        by_function["?? (outside any object)"] += unknown
+        for table in tables:
+            table["?? (outside any object)"] += unknown
 
-    report = {"samples": total, "processes": len(files),
-              "files": rows(by_file, total, args.top),
-              "functions": rows(by_function, total, args.top)}
+    report = {"samples": total, "processes": len(files)}
     print(f"pcprof: {total} samples from {len(files)} processes")
-    print_table("file", report["files"])
-    print_table("function", report["functions"])
+    for key, title, table in zip(("files", "functions", "components"),
+                                 ("file", "function", "component"),
+                                 tables):
+        report[key] = rows(table, total, args.top)
+        print_table(title, report[key])
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(report, indent=2))
 
